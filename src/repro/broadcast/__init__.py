@@ -2,10 +2,11 @@
 
 Models everything below the index structures: fixed-capacity packets
 (Table 2), the (1, m) index/data interleaving of Imielinski et al. with the
-optimal replication factor, the flat data broadcast, and a client simulator
-implementing the paper's three-step access protocol (initial probe, index
-search, data retrieval).  The simulator produces the paper's three metrics:
-access latency, tuning time and indexing efficiency.
+optimal replication factor, the flat data broadcast, and the one client
+walk of the paper's three-step access protocol (initial probe, index
+search, data retrieval; :mod:`repro.broadcast.access`).  It produces the
+paper's three metrics: access latency, tuning time and indexing
+efficiency.
 """
 
 from repro.broadcast.params import SystemParameters, PACKET_CAPACITIES

@@ -3,8 +3,9 @@
 A mobile client that queries repeatedly — a driver re-asking "which
 district am I in?" every few minutes — re-reads the same top index packets
 each time.  Hambrusch et al. (SSTD 2001) study caching parts of a
-broadcast spatial index on the client; this module adds an LRU
-packet cache in front of any paged index:
+broadcast spatial index on the client; :class:`CachingBroadcastClient`
+is the access walk of :mod:`repro.broadcast.access` with an LRU
+:class:`PacketCache` in front of the paged index:
 
 * a cached packet costs no tuning time and no channel wait;
 * the first *uncached* packet on the search path anchors the wait for the
@@ -12,114 +13,33 @@ packet cache in front of any paged index:
 * a fully cached search skips the index segment altogether and sleeps
   straight until the data bucket.
 
-The database is static within a session (as in the paper), so cached
-packets never go stale.
+Cache entries are keyed by index version, so a cached packet never
+answers for another version of the index.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional
-
-from repro.errors import BroadcastError
-from repro.geometry.point import Point
-from repro.obs import active_collector
-from repro.broadcast.client import AccessResult
+from repro.broadcast.access import AccessClient, PacketCache, single_channel
 from repro.broadcast.packets import PagedIndex
 
-
-class PacketCache:
-    """A fixed-capacity LRU set of packet ids, keyed by index version.
-
-    Entries are keyed ``(version, packet_id)``: a packet cached under one
-    index version can never answer for another — the staleness bug this
-    fixes served pre-update search-path packets after the broadcast index
-    changed.  :meth:`set_version` is the invalidation hook the dynamic
-    broadcast layer calls when the on-air version bumps; stale-version
-    entries age out through the ordinary LRU eviction.
-    """
-
-    def __init__(self, capacity: int, version: int = 0) -> None:
-        if capacity < 0:
-            raise BroadcastError(f"cache capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        #: Index version lookups and inserts are keyed under.
-        self.version = version
-        self._entries: "OrderedDict[tuple, None]" = OrderedDict()
-
-    def set_version(self, version: int) -> None:
-        """Re-key the cache to *version* — entries cached under other
-        versions become unreachable (and are LRU-evicted over time)."""
-        self.version = version
-
-    def __contains__(self, packet_id: int) -> bool:
-        hit = (self.version, packet_id) in self._entries
-        col = active_collector()
-        if col is not None:
-            col.count("cache.hit" if hit else "cache.miss")
-        return hit
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def touch(self, packet_id: int) -> None:
-        """Record a use (insert or refresh), evicting LRU on overflow."""
-        if self.capacity == 0:
-            return
-        key = (self.version, packet_id)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-        self._entries[key] = None
+__all__ = ["CachingBroadcastClient", "PacketCache"]
 
 
-class CachingBroadcastClient:
+class CachingBroadcastClient(AccessClient):
     """A broadcast client with an LRU cache of index packets.
 
     The timeline may be a :class:`~repro.broadcast.schedule.BroadcastSchedule`
-    or a :class:`~repro.broadcast.plan.BroadcastPlan` — a K=1 plan
-    delegates bit-for-bit to its single channel's schedule, a K>1 plan
-    routes queries through a cache-carrying
-    :class:`~repro.broadcast.channels.ChannelHoppingClient` (which
-    shares this client's cache instance).
+    or a :class:`~repro.broadcast.plan.BroadcastPlan` — a K=1 plan is its
+    single channel's schedule, a K>1 plan makes the client hop between
+    channels.
     """
 
     def __init__(
         self, paged_index: PagedIndex, schedule, cache_packets: int = 8
     ) -> None:
-        self.cache: Optional[PacketCache] = None
-        self._bind(paged_index, schedule, cache_packets)
-
-    def _bind(self, paged_index, schedule, cache_packets: int) -> None:
-        """Attach to one paged index + timeline, preserving any existing
-        cache object (re-keyed to the timeline's version)."""
-        from repro.broadcast.plan import BroadcastPlan
-
-        self.paged_index = paged_index
-        self._hopping = None
-        if isinstance(schedule, BroadcastPlan):
-            if schedule.is_single_channel:
-                schedule = schedule.primary_schedule
-            else:
-                from repro.broadcast.channels import ChannelHoppingClient
-
-                self._hopping = ChannelHoppingClient(
-                    paged_index, schedule, cache_packets=cache_packets
-                )
-        self.schedule = schedule
-        if len(paged_index.packets) != schedule.index_packet_count:
-            raise BroadcastError(
-                "schedule was built for a different index size"
-            )
-        if self._hopping is not None:
-            if self.cache is not None:
-                self._hopping.cache = self.cache
-            self.cache = self._hopping.cache
-        elif self.cache is None:
-            self.cache = PacketCache(cache_packets)
-        self.cache.set_version(getattr(schedule, "version", 0))
+        super().__init__(
+            paged_index, single_channel(schedule), cache_packets=cache_packets
+        )
 
     def rebind(self, paged_index: PagedIndex, schedule) -> None:
         """Point the client at a new paged index + timeline (an index
@@ -127,58 +47,6 @@ class CachingBroadcastClient:
 
         The session's cache object survives, but it is re-keyed to the
         new timeline's version: packets cached under the old index can
-        never answer a search over the new one — the staleness bug that
-        motivated version-keyed caches.
+        never answer a search over the new one.
         """
-        self._bind(paged_index, schedule, self.cache.capacity)
-
-    def query(self, point: Point, issue_time: float) -> AccessResult:
-        """Run the access protocol, charging only cache misses."""
-        if self._hopping is not None:
-            return self._hopping.query(point, issue_time)
-        trace = self.paged_index.trace(point)
-        accessed = trace.packets_accessed
-        if any(b < a for a, b in zip(accessed, accessed[1:])):
-            raise BroadcastError("index traversal moved backwards")
-
-        misses = [pid for pid in accessed if pid not in self.cache]
-        if misses:
-            # Anchor the channel wait at the first *uncached* packet: the
-            # client only needs a segment whose misses[0]-th packet is
-            # still ahead, which can be an earlier segment than the next
-            # segment start.  (Same rule as the fault simulator's cached
-            # path.)
-            segment_start = self.schedule.segment_for_offset(
-                misses[0], issue_time
-            )
-            index_done = segment_start + misses[-1] + 1
-            index_tuning = len(set(misses))
-            probe = 1
-        else:
-            index_done = issue_time
-            index_tuning = 0
-            probe = 0  # a warmed client already knows the timing
-
-        bucket_start = self.schedule.next_bucket_arrival(
-            trace.region_id, float(index_done)
-        )
-        bucket_end = bucket_start + self.schedule.bucket_packets
-
-        for pid in accessed:
-            self.cache.touch(pid)
-
-        return AccessResult(
-            region_id=trace.region_id,
-            access_latency=bucket_end - issue_time,
-            index_tuning_time=index_tuning,
-            total_tuning_time=probe + index_tuning + self.schedule.bucket_packets,
-            trace=trace,
-        )
-
-    def run_session(
-        self, points: List[Point], issue_times: List[float]
-    ) -> List[AccessResult]:
-        """A sequence of queries sharing the cache (a client session)."""
-        if len(points) != len(issue_times):
-            raise BroadcastError("points and issue_times lengths differ")
-        return [self.query(p, t) for p, t in zip(points, issue_times)]
+        self._bind(paged_index, single_channel(schedule))

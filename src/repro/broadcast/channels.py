@@ -14,117 +14,31 @@ channel, so a client's clock is channel-independent and *hopping* between
 channels costs a configurable number of packet slots during which the
 receiver is retuning and cannot listen.
 
-:class:`ChannelHoppingClient` generalizes the paper's three-step access
-protocol (§2) across channels:
-
-1. *Initial probe* — one packet read on the current channel to learn the
-   broadcast timing (every packet carries the plan directory: segment
-   offsets and the region/packet -> channel maps).
-2. *Index search* — walk the search path; each packet is read on the
-   channel that airs it, hopping (and paying the hop cost) whenever the
-   next packet lives elsewhere.  Under ``replicated`` placement the whole
-   search stays on the starting channel.
-3. *Data retrieval* — hop to the channel carrying the answer region's
-   bucket and doze until it arrives.
-
-With ``K = 1`` every query is bit-for-bit identical to
-:class:`~repro.broadcast.client.BroadcastClient` (and, with a cache, to
-:class:`~repro.broadcast.caching.CachingBroadcastClient`) — property-
-tested in ``tests/test_broadcast_plan.py``.
+:class:`ChannelHoppingClient` is the access walk of
+:mod:`repro.broadcast.access` over a plan taken as given — a K=1 plan
+stays a plan, so every query reports its (zero) hops.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
-from repro.errors import BroadcastError
-from repro.geometry.point import Point
-from repro.obs import active_collector
-from repro.broadcast.caching import PacketCache
-from repro.broadcast.client import AccessResult, run_workload
+from repro.broadcast.access import AccessClient, HopAccessResult
 from repro.broadcast.packets import PagedIndex
-from repro.broadcast.schedule import BroadcastSchedule
+from repro.broadcast.plan import Channel
+
+__all__ = ["Channel", "ChannelHoppingClient", "HopAccessResult"]
 
 
-class Channel:
-    """One (1, m) timeline of a multi-channel plan.
-
-    ``index_packet_ids`` maps this channel's local index-segment offsets
-    to global packet ids of the paged index: offset ``j`` of every index
-    segment on this channel airs global packet ``index_packet_ids[j]``.
-    Under replicated placement it is simply ``0..P-1``.
-    """
-
-    __slots__ = ("channel_id", "schedule", "index_packet_ids")
-
-    def __init__(
-        self,
-        channel_id: int,
-        schedule: BroadcastSchedule,
-        index_packet_ids: Sequence[int],
-    ) -> None:
-        if len(index_packet_ids) != schedule.index_packet_count:
-            raise BroadcastError(
-                f"channel {channel_id}: schedule airs "
-                f"{schedule.index_packet_count} index packets but "
-                f"{len(index_packet_ids)} were assigned"
-            )
-        self.channel_id = channel_id
-        self.schedule = schedule
-        self.index_packet_ids: Tuple[int, ...] = tuple(index_packet_ids)
-
-    def __repr__(self) -> str:
-        return f"Channel({self.channel_id}, {self.schedule!r})"
-
-
-class HopAccessResult(AccessResult):
-    """One multi-channel query's outcome, with hop accounting.
-
-    ``hop_slots`` (= hops x hop cost) is the time the receiver spent
-    retuning; it is part of the access latency but *not* of the tuning
-    time — a retuning radio is not demodulating packets, so its energy
-    draw is modelled at doze level (see DESIGN.md §11).
-    """
-
-    __slots__ = ("hops", "hop_slots")
-
-    def __init__(
-        self,
-        region_id: int,
-        access_latency: float,
-        index_tuning_time: int,
-        total_tuning_time: int,
-        trace,
-        hops: int,
-        hop_slots: float,
-    ) -> None:
-        super().__init__(
-            region_id, access_latency, index_tuning_time, total_tuning_time, trace
-        )
-        #: Channel switches performed during this query.
-        self.hops = hops
-        #: Packet slots spent retuning (hops x hop cost).
-        self.hop_slots = hop_slots
-
-    def __repr__(self) -> str:
-        return (
-            f"HopAccessResult(region={self.region_id}, "
-            f"latency={self.access_latency:.1f}p, "
-            f"index_tuning={self.index_tuning_time}p, hops={self.hops})"
-        )
-
-
-class ChannelHoppingClient:
+class ChannelHoppingClient(AccessClient):
     """A mobile client that tunes, hops and dozes across the K channels
-    of a :class:`~repro.broadcast.plan.BroadcastPlan`.
+    of a :class:`~repro.broadcast.plan.BroadcastPlan`, starting on
+    ``start_channel``.
 
     With ``cache_packets`` set (not ``None``) an LRU cache of index
     packets is kept, with the same semantics as
-    :class:`~repro.broadcast.caching.CachingBroadcastClient`: cached
-    packets cost nothing and the channel wait is anchored at the first
-    uncached packet of the search path (capacity 0 models a cache-aware
-    client whose cache never retains — exactly like
-    ``CachingBroadcastClient(cache_packets=0)``).
+    :class:`~repro.broadcast.caching.CachingBroadcastClient` (capacity 0
+    models a cache-aware client whose cache never retains).
     """
 
     def __init__(
@@ -135,164 +49,9 @@ class ChannelHoppingClient:
         cache_packets: Optional[int] = None,
         start_channel: int = 0,
     ) -> None:
-        if len(paged_index.packets) != plan.index_packet_count:
-            raise BroadcastError(
-                f"plan built for {plan.index_packet_count} index packets "
-                f"but the paged index has {len(paged_index.packets)}"
-            )
-        if not 0 <= start_channel < plan.num_channels:
-            raise BroadcastError(
-                f"start channel {start_channel} out of range "
-                f"(plan has {plan.num_channels} channels)"
-            )
-        self.paged_index = paged_index
-        self.plan = plan
-        self.start_channel = start_channel
-        self.cache = (
-            PacketCache(cache_packets, version=getattr(plan, "version", 0))
-            if cache_packets is not None
-            else None
+        super().__init__(
+            paged_index,
+            plan,
+            cache_packets=cache_packets,
+            start_channel=start_channel,
         )
-
-    @property
-    def cycle_length(self) -> int:
-        """Issue-time horizon for workload generation (plan-wide)."""
-        return self.plan.cycle_length
-
-    # -- one query ----------------------------------------------------------
-
-    def query(self, point: Point, issue_time: float) -> HopAccessResult:
-        """Run the full multi-channel access protocol for a query issued
-        at *issue_time* (absolute packet slot, channel-independent)."""
-        plan = self.plan
-        trace = self.paged_index.trace(point)
-        accessed = trace.packets_accessed
-        if any(b < a for a, b in zip(accessed, accessed[1:])):
-            raise BroadcastError(
-                "index traversal moved backwards on the broadcast channel: "
-                f"{accessed} — the index broadcast order is invalid"
-            )
-        # Forward-only + consecutive-dedup means ids are strictly
-        # increasing; dict.fromkeys guards duck-typed indexes that repeat.
-        unique = list(dict.fromkeys(accessed))
-        if self.cache is not None:
-            needed = [pid for pid in unique if pid not in self.cache]
-        else:
-            needed = unique
-
-        current = self.start_channel
-        hops = 0
-        if self.cache is not None and not needed:
-            # Fully cached search: a warmed client already knows the
-            # timing — no probe, sleep straight until the data bucket.
-            probe = 0
-            index_done = issue_time
-        else:
-            probe = 1
-            index_done, current, hops = self._index_walk(
-                needed, issue_time, current
-            )
-
-        # Step 3: data retrieval on the bucket's home channel.
-        region = trace.region_id
-        target = plan.channel_of_region(region)
-        t = index_done
-        if target != current:
-            t += plan.hop_cost
-            hops += 1
-            current = target
-        bucket_start = plan.channels[target].schedule.next_bucket_arrival(
-            region, float(t)
-        )
-        bucket_end = bucket_start + plan.bucket_packets
-
-        if self.cache is not None:
-            for pid in unique:
-                self.cache.touch(pid)
-
-        access_latency = bucket_end - issue_time
-        index_tuning = len(needed)
-        total_tuning = probe + index_tuning + plan.bucket_packets
-        hop_slots = hops * plan.hop_cost
-        col = active_collector()
-        if col is not None:
-            col.count("client.queries")
-            col.count("client.probes", probe)
-            col.count("client.packets.index", index_tuning)
-            col.count("client.packets.data", plan.bucket_packets)
-            col.count("client.hops", hops)
-            col.count("client.hop_slots", hop_slots)
-            col.count(
-                "client.doze_slots",
-                access_latency - total_tuning - hop_slots,
-            )
-        return HopAccessResult(
-            region_id=region,
-            access_latency=access_latency,
-            index_tuning_time=index_tuning,
-            total_tuning_time=total_tuning,
-            trace=trace,
-            hops=hops,
-            hop_slots=hop_slots,
-        )
-
-    def _index_walk(
-        self, needed: List[int], issue_time: float, current: int
-    ) -> Tuple[float, int, int]:
-        """Step 2: read the (uncached) search path across channels.
-
-        Returns ``(index_done, channel, hops)``.  The first uncached read
-        of a cold client waits for a segment *start* (the paper's
-        protocol: the probe points at the next index segment); with a
-        cache the wait is anchored at the first packet actually needed,
-        and every later read takes the earliest segment — on the packet's
-        home channel — whose copy of that packet is still ahead.
-        """
-        plan = self.plan
-        hops = 0
-        t = issue_time
-        if not needed:
-            # Empty search path: the search trivially ends one slot into
-            # the next index segment of the starting channel.
-            schedule = plan.channels[current].schedule
-            return schedule.next_index_start(t) + 1, current, hops
-        anchored = self.cache is not None
-        for pid in needed:
-            chan, offset = plan.index_home(pid, current)
-            if chan != current:
-                t += plan.hop_cost
-                hops += 1
-                current = chan
-            schedule = plan.channels[chan].schedule
-            if anchored:
-                base = schedule.segment_for_offset(offset, t)
-            else:
-                base = schedule.next_index_start(t)
-                anchored = True
-            t = base + offset + 1
-        return float(t), current, hops
-
-    # -- workloads ----------------------------------------------------------
-
-    def run_workload(
-        self,
-        points: Sequence[Point],
-        *,
-        issue_times: Optional[Sequence[float]] = None,
-        seed: int = 0,
-        rng=None,
-    ) -> List[HopAccessResult]:
-        """Query each point at a uniform-random instant (shared
-        keyword-only workload signature; see
-        :func:`repro.broadcast.client.run_workload`)."""
-        return run_workload(
-            self, points, issue_times=issue_times, seed=seed, rng=rng
-        )
-
-    def run_session(
-        self, points: Sequence[Point], issue_times: Sequence[float]
-    ) -> List[HopAccessResult]:
-        """A sequence of queries sharing the cache (a client session)."""
-        if len(points) != len(issue_times):
-            raise BroadcastError("points and issue_times lengths differ")
-        return [self.query(p, t) for p, t in zip(points, issue_times)]

@@ -1,195 +1,38 @@
-"""The mobile client: the paper's three-step access protocol (§2).
+"""The mobile client of the paper's three-step access protocol (§2).
 
-1. *Initial probe* — tune in, learn when the next index segment starts,
-   sleep until then.
-2. *Index search* — selectively read index packets (forward-only: the
-   channel is linear, so a pointer to an already-passed packet costs a full
-   extra cycle — index broadcast orders are chosen so this never happens,
-   and the simulator asserts it).
-3. *Data retrieval* — sleep until the bucket arrives, download it.
+:class:`BroadcastClient` is the cold, error-free configuration of the
+one access walk in :mod:`repro.broadcast.access`: it probes, searches
+the index and retrieves the data with every read succeeding.  It is the
+per-query oracle the batched engine and the lossy simulator are
+checked against.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Sequence
+from repro.broadcast.access import (
+    AccessClient,
+    AccessResult,
+    run_workload,
+    single_channel,
+)
+from repro.broadcast.packets import PagedIndex
 
-from repro.errors import BroadcastError
-from repro.geometry.point import Point
-from repro.obs import active_collector
-from repro.broadcast.packets import PagedIndex, QueryTrace
-from repro.broadcast.schedule import BroadcastSchedule
-
-
-def run_workload(
-    client,
-    points: Sequence[Point],
-    *,
-    issue_times: Optional[Sequence[float]] = None,
-    seed: int = 0,
-    rng: Optional[random.Random] = None,
-) -> List["AccessResult"]:
-    """The unified workload runner: query each point at a uniform-random
-    instant of the broadcast cycle.
-
-    This is the one keyword-only entry point shared by every client —
-    :class:`BroadcastClient`,
-    :class:`~repro.broadcast.channels.ChannelHoppingClient` and
-    :class:`~repro.simulation.client.UnreliableBroadcastClient` — whose
-    ``run_workload`` methods all delegate here.  *client* needs only a
-    ``query(point, issue_time)`` method and a broadcast timeline (its
-    ``cycle_length`` or a ``schedule``/``plan`` that has one).
-
-    Pass *rng* to draw issue times from an externally owned stream (one
-    shared across components for reproducible runs); otherwise a fresh
-    ``random.Random(seed)`` is used.  Explicit *issue_times* bypass the
-    rng entirely.
-    """
-    if issue_times is not None:
-        if len(issue_times) != len(points):
-            raise BroadcastError(
-                f"{len(issue_times)} issue times for {len(points)} query points"
-            )
-        return [client.query(p, t) for p, t in zip(points, issue_times)]
-    if rng is None:
-        rng = random.Random(seed)
-    length = _client_cycle_length(client)
-    return [client.query(p, rng.uniform(0, length)) for p in points]
+__all__ = ["AccessResult", "BroadcastClient", "run_workload"]
 
 
-def _client_cycle_length(client) -> float:
-    """The issue-time horizon of *client*'s broadcast timeline."""
-    length = getattr(client, "cycle_length", None)
-    if length is not None:
-        return length
-    timeline = getattr(client, "schedule", None) or getattr(client, "plan")
-    return timeline.cycle_length
-
-
-class AccessResult:
-    """Latency/tuning outcome of one client query."""
-
-    __slots__ = (
-        "region_id",
-        "access_latency",
-        "index_tuning_time",
-        "total_tuning_time",
-        "trace",
-    )
-
-    def __init__(
-        self,
-        region_id: int,
-        access_latency: float,
-        index_tuning_time: int,
-        total_tuning_time: int,
-        trace: QueryTrace,
-    ) -> None:
-        self.region_id = region_id
-        #: Packets elapsed between query issue and end of data download.
-        self.access_latency = access_latency
-        #: Packet accesses during the index-search step only (the unit of
-        #: the paper's Figure 12).
-        self.index_tuning_time = index_tuning_time
-        #: Index search + initial probe + data download.
-        self.total_tuning_time = total_tuning_time
-        self.trace = trace
-
-    def __repr__(self) -> str:
-        return (
-            f"AccessResult(region={self.region_id}, "
-            f"latency={self.access_latency:.1f}p, "
-            f"index_tuning={self.index_tuning_time}p)"
-        )
-
-
-class BroadcastClient:
-    """Simulates a mobile client against one paged index + timeline.
+class BroadcastClient(AccessClient):
+    """A cold mobile client on an error-free timeline.
 
     The timeline is a :class:`BroadcastSchedule` or a
-    :class:`~repro.broadcast.plan.BroadcastPlan`: a K=1 plan delegates
-    bit-for-bit to its single channel's schedule, a K>1 plan routes every
-    query through a
-    :class:`~repro.broadcast.channels.ChannelHoppingClient`.
+    :class:`~repro.broadcast.plan.BroadcastPlan`: a K=1 plan is its
+    single channel's schedule, a K>1 plan makes the client hop between
+    channels (returning :class:`~repro.broadcast.channels.HopAccessResult`).
     """
 
     def __init__(self, paged_index: PagedIndex, schedule) -> None:
-        # Imported lazily: channels.py imports AccessResult from here.
-        from repro.broadcast.plan import BroadcastPlan
+        super().__init__(paged_index, single_channel(schedule))
 
-        self.paged_index = paged_index
-        self._hopping = None
-        if isinstance(schedule, BroadcastPlan):
-            if schedule.is_single_channel:
-                schedule = schedule.primary_schedule
-            else:
-                from repro.broadcast.channels import ChannelHoppingClient
-
-                self._hopping = ChannelHoppingClient(paged_index, schedule)
-        self.schedule = schedule
-        if len(paged_index.packets) != schedule.index_packet_count:
-            raise BroadcastError(
-                f"schedule built for {schedule.index_packet_count} index "
-                f"packets but the paged index has {len(paged_index.packets)}"
-            )
-
-    @property
-    def cycle_length(self) -> int:
-        """Issue-time horizon of the underlying timeline."""
-        return self.schedule.cycle_length
-
-    def query(self, point: Point, issue_time: float) -> AccessResult:
-        """Run the full access protocol for a query issued at *issue_time*
-        (absolute packet position on the broadcast timeline)."""
-        if self._hopping is not None:
-            return self._hopping.query(point, issue_time)
-        # Step 1: initial probe — one packet read to learn the next index
-        # segment offset, then doze.
-        segment_start = self.schedule.next_index_start(issue_time)
-
-        # Step 2: index search.  The trace's packet ids are offsets within
-        # the index segment, in broadcast order.
-        trace = self.paged_index.trace(point)
-        accessed = trace.packets_accessed
-        if any(b < a for a, b in zip(accessed, accessed[1:])):
-            raise BroadcastError(
-                "index traversal moved backwards on the broadcast channel: "
-                f"{accessed} — the index broadcast order is invalid"
-            )
-        index_done = segment_start + (accessed[-1] if accessed else 0) + 1
-
-        # Step 3: data retrieval.
-        bucket_start = self.schedule.next_bucket_arrival(
-            trace.region_id, float(index_done)
-        )
-        bucket_end = bucket_start + self.schedule.bucket_packets
-
-        access_latency = bucket_end - issue_time
-        index_tuning = trace.tuning_time
-        total_tuning = 1 + index_tuning + self.schedule.bucket_packets
-        col = active_collector()
-        if col is not None:
-            col.count("client.queries")
-            col.count("client.probes")
-            col.count("client.packets.index", index_tuning)
-            col.count("client.packets.data", self.schedule.bucket_packets)
-            col.count("client.doze_slots", access_latency - total_tuning)
-        return AccessResult(
-            region_id=trace.region_id,
-            access_latency=access_latency,
-            index_tuning_time=index_tuning,
-            total_tuning_time=total_tuning,
-            trace=trace,
-        )
-
-    def run_workload(
-        self,
-        points: List[Point],
-        *args,
-        issue_times: Optional[List[float]] = None,
-        seed: int = 0,
-        rng: Optional[random.Random] = None,
-    ) -> List[AccessResult]:
+    def run_workload(self, points, *args, issue_times=None, seed=0, rng=None):
         """Query each point at a uniform-random instant in the cycle.
 
         This is the shared keyword-only workload signature (see the

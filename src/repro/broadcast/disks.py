@@ -69,8 +69,8 @@ class SkewedBroadcastSchedule:
 
     Duck-type compatible with :class:`BroadcastSchedule`: exposes
     ``cycle_length``, ``bucket_packets``, ``data_packet_count``, ``m``,
-    ``index_packet_count``, ``next_index_start`` and
-    ``next_bucket_arrival``.
+    ``index_packet_count``, ``version``, ``next_index_start``,
+    ``segment_for_offset`` and ``next_bucket_arrival``.
     """
 
     def __init__(
@@ -85,6 +85,8 @@ class SkewedBroadcastSchedule:
             raise BroadcastError("schedule needs at least one data bucket")
         self.params = params
         self.index_packet_count = index_packet_count
+        #: Index version this timeline airs (a static program: always 0).
+        self.version = 0
         self.frequencies = square_root_frequencies(region_weights, max_frequency)
         self.bucket_sequence = urgency_sequence(self.frequencies)
         self.bucket_packets = params.data_packets_per_instance
@@ -121,6 +123,14 @@ class SkewedBroadcastSchedule:
             if start >= offset:
                 return int(cycle) * self.cycle_length + start
         return (int(cycle) + 1) * self.cycle_length + self.index_segment_starts[0]
+
+    def segment_for_offset(self, offset: int, time: float) -> int:
+        """Start of the earliest index segment whose *offset*-th packet
+        airs at or after *time* (see
+        :meth:`BroadcastSchedule.segment_for_offset`)."""
+        if offset < 0:
+            raise BroadcastError(f"packet offset must be >= 0, got {offset}")
+        return self.next_index_start(time - offset)
 
     def next_bucket_arrival(self, region_id: int, time: float) -> int:
         try:

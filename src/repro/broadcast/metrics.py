@@ -18,7 +18,7 @@ from repro.geometry.point import Point
 from repro.broadcast.client import BroadcastClient
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
-from repro.broadcast.schedule import BroadcastSchedule
+from repro.broadcast.plan import workload_timeline
 
 
 def no_index_latency(n_regions: int, params: SystemParameters) -> float:
@@ -101,7 +101,8 @@ def evaluate_index(
 ) -> MetricsSummary:
     """Run the query workload against a broadcast of the paged index.
 
-    By default a flat (1, m) :class:`BroadcastSchedule` is built; pass
+    By default a flat (1, m)
+    :class:`~repro.broadcast.schedule.BroadcastSchedule` is built; pass
     *schedule* to measure an alternative broadcast program (e.g. the
     skewed broadcast-disks schedule) over the same index.
 
@@ -143,17 +144,7 @@ def evaluate_index_per_query(
     """
     if not query_points:
         raise BroadcastError("need at least one query point")
-    if schedule is None:
-        schedule = BroadcastSchedule(
-            index_packet_count=len(paged_index.packets),
-            region_ids=list(region_ids),
-            params=params,
-            m=m,
-        )
-    elif schedule.index_packet_count != len(paged_index.packets):
-        raise BroadcastError(
-            "provided schedule was built for a different index size"
-        )
+    schedule = workload_timeline(paged_index, region_ids, params, m, schedule)
     client = BroadcastClient(paged_index, schedule)
     rng = random.Random(seed)
     issue_times = [rng.uniform(0, schedule.cycle_length) for _ in query_points]

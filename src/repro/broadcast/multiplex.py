@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import BroadcastError
 from repro.geometry.point import Point
-from repro.broadcast.client import AccessResult
+from repro.broadcast.access import AccessResult, check_forward
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.schedule import BroadcastSchedule
@@ -157,8 +157,7 @@ class MultiplexedBroadcast:
         segment_start = self.next_index_start(name, issue_time)
         trace = service.paged_index.trace(point)
         accessed = trace.packets_accessed
-        if any(b < a for a, b in zip(accessed, accessed[1:])):
-            raise BroadcastError("index traversal moved backwards")
+        check_forward(accessed)
         index_done = segment_start + (accessed[-1] if accessed else 0) + 1
         bucket_start = self.next_bucket_arrival(name, trace.region_id, index_done)
         bucket_end = bucket_start + service.schedule.bucket_packets

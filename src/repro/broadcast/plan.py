@@ -35,9 +35,41 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import BroadcastError
-from repro.broadcast.channels import Channel
+from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.schedule import BroadcastSchedule
+
+
+class Channel:
+    """One (1, m) timeline of a multi-channel plan.
+
+    ``index_packet_ids`` maps this channel's local index-segment offsets
+    to global packet ids of the paged index: offset ``j`` of every index
+    segment on this channel airs global packet ``index_packet_ids[j]``.
+    Under replicated placement it is simply ``0..P-1``.
+    """
+
+    __slots__ = ("channel_id", "schedule", "index_packet_ids")
+
+    def __init__(
+        self,
+        channel_id: int,
+        schedule: BroadcastSchedule,
+        index_packet_ids: Sequence[int],
+    ) -> None:
+        if len(index_packet_ids) != schedule.index_packet_count:
+            raise BroadcastError(
+                f"channel {channel_id}: schedule airs "
+                f"{schedule.index_packet_count} index packets but "
+                f"{len(index_packet_ids)} were assigned"
+            )
+        self.channel_id = channel_id
+        self.schedule = schedule
+        self.index_packet_ids: Tuple[int, ...] = tuple(index_packet_ids)
+
+    def __repr__(self) -> str:
+        return f"Channel({self.channel_id}, {self.schedule!r})"
+
 
 #: Where the index packets live: a full copy on every channel, or a
 #: contiguous chunk per channel.
@@ -363,3 +395,31 @@ class BroadcastPlan:
             f"hop_cost={self.hop_cost:g}, "
             f"cycle<= {self.cycle_length}p)"
         )
+
+
+def workload_timeline(
+    paged_index: PagedIndex,
+    region_ids: Sequence[int],
+    params: SystemParameters,
+    m: Optional[int] = None,
+    schedule=None,
+    plan: Optional[BroadcastPlan] = None,
+):
+    """The timeline a workload runs on: *plan* or *schedule* as given
+    (not both), else the flat (1, m) schedule of *region_ids*."""
+    if plan is not None:
+        if schedule is not None:
+            raise BroadcastError("pass either schedule= or plan=, not both")
+        schedule = plan
+    if schedule is None:
+        return BroadcastSchedule(
+            index_packet_count=len(paged_index.packets),
+            region_ids=list(region_ids),
+            params=params,
+            m=m,
+        )
+    if schedule.index_packet_count != len(paged_index.packets):
+        raise BroadcastError(
+            "provided schedule was built for a different index size"
+        )
+    return schedule

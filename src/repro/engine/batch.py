@@ -36,10 +36,11 @@ from repro.broadcast.metrics import (
     indexing_efficiency,
     no_index_latency,
 )
+from repro.broadcast.access import single_channel
 from repro.broadcast.channels import ChannelHoppingClient
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
-from repro.broadcast.plan import BroadcastPlan
+from repro.broadcast.plan import BroadcastPlan, workload_timeline
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.geometry.point import Point
 from repro.engine.trace import batched_trace
@@ -48,7 +49,7 @@ from repro.workload.generators import QueryWorkload
 Workload = Union[QueryWorkload, Sequence[Point]]
 
 
-def _workload_points(workload: Workload) -> Sequence[Point]:
+def workload_points(workload: Workload) -> Sequence[Point]:
     return workload.points if isinstance(workload, QueryWorkload) else workload
 
 
@@ -162,12 +163,10 @@ class QueryEngine:
     """
 
     def __init__(self, paged_index: PagedIndex, schedule) -> None:
+        schedule = single_channel(schedule)
         self._hopping = None
         if isinstance(schedule, BroadcastPlan):
-            if schedule.is_single_channel:
-                schedule = schedule.primary_schedule
-            else:
-                self._hopping = ChannelHoppingClient(paged_index, schedule)
+            self._hopping = ChannelHoppingClient(paged_index, schedule)
         if len(paged_index.packets) != schedule.index_packet_count:
             raise BroadcastError(
                 f"schedule built for {schedule.index_packet_count} index "
@@ -238,7 +237,7 @@ class QueryEngine:
     ) -> BatchResult:
         """Evaluate every query of *workload* through the full access
         protocol (probe, index search, data retrieval) in bulk."""
-        points = _workload_points(workload)
+        points = workload_points(workload)
         n = len(points)
         if n == 0:
             raise BroadcastError("need at least one query point")
@@ -330,9 +329,7 @@ class QueryEngine:
         :meth:`BatchResult.summary` reports the plan's headline m and
         cycle length."""
         n = len(points)
-        results = [
-            self._hopping.query(p, t) for p, t in zip(points, times.tolist())
-        ]
+        results = self._hopping.run_session(points, times.tolist())
         return BatchResult(
             issue_times=times,
             region_ids=np.fromiter(
@@ -372,24 +369,10 @@ def evaluate_workload(
     :class:`~repro.broadcast.plan.BroadcastPlan` instead (a K=1 plan is
     bit-for-bit the single-channel path).
     """
-    points = _workload_points(workload)
+    points = workload_points(workload)
     if not points:
         raise BroadcastError("need at least one query point")
-    if plan is not None:
-        if schedule is not None:
-            raise BroadcastError("pass either schedule= or plan=, not both")
-        schedule = plan
-    if schedule is None:
-        schedule = BroadcastSchedule(
-            index_packet_count=len(paged_index.packets),
-            region_ids=list(region_ids),
-            params=params,
-            m=m,
-        )
-    elif schedule.index_packet_count != len(paged_index.packets):
-        raise BroadcastError(
-            "provided schedule was built for a different index size"
-        )
+    schedule = workload_timeline(paged_index, region_ids, params, m, schedule, plan)
     engine = QueryEngine(paged_index, schedule)
     issue_times = _uniform_issue_times(
         random.Random(seed), len(points), schedule.cycle_length

@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.errors import BroadcastError, QueryError
 from repro.obs import active_collector
+from repro.broadcast.access import check_forward as _check_forward
 from repro.broadcast.packets import PagedIndex, dedupe_consecutive
 from repro.geometry.kernels import (
     CompiledPartition,
@@ -185,15 +186,6 @@ def batched_trace(paged_index: PagedIndex, points: Sequence[Point]) -> TraceBatc
             f"trace.{family}.index_packets", int(batch.tuning_time.sum())
         )
     return batch
-
-
-def _check_forward(accessed: List[int]) -> None:
-    """Forward-only channel invariant (same check as the scalar client)."""
-    if any(b < a for a, b in zip(accessed, accessed[1:])):
-        raise BroadcastError(
-            "index traversal moved backwards on the broadcast channel: "
-            f"{accessed} — the index broadcast order is invalid"
-        )
 
 
 # -- generic fallback -------------------------------------------------------

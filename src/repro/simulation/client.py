@@ -1,117 +1,42 @@
 """The unreliable-channel client: the access protocol under packet loss.
 
-:class:`UnreliableBroadcastClient` replays the paper's three-step access
-protocol (§2) as a discrete-event walk over the broadcast timeline in
-which *every* packet read — probe, index, data — may be lost (decided by
-an :class:`~repro.simulation.faults.ErrorModel`).  Lost index packets
-invoke a :class:`~repro.simulation.policies.RecoveryPolicy`; lost data
-packets are re-read at the bucket's next airing, one cycle later.
-
-Event rules (all positions are packet slots on the timeline):
-
-* a read *attempt* occupies one slot and always costs tuning/energy,
-  received or lost;
-* the packet occupying slot ``p`` is fully received at ``p + 1``;
-* the initial probe at issue time ``t`` reads the packet in flight at
-  ``t``; on loss the client re-probes the following slots until one
-  packet survives, then learns the broadcast timing from it.
-
-With a :class:`~repro.broadcast.caching.PacketCache` attached, cached
-index packets are answered locally — they cost nothing *and cannot be
-lost* — and the channel wait is anchored at the first uncached packet
-of the search path, exactly like
-:class:`~repro.broadcast.caching.CachingBroadcastClient`.
-
-At error rate zero the uncached client is bit-for-bit identical to
-:class:`~repro.broadcast.client.BroadcastClient` and the batched
-:class:`~repro.engine.QueryEngine` (property-tested in
-``tests/test_simulation.py``).
+:class:`UnreliableBroadcastClient` is the access walk of
+:mod:`repro.broadcast.access` with loss and recovery switched on: every
+read — probe, index, data — may be lost (decided by an
+:class:`~repro.simulation.faults.ErrorModel`).  A read attempt occupies
+one slot and costs tuning and energy, received or lost; the packet in
+slot ``p`` is fully received at ``p + 1``.  A lost probe re-reads the
+following slots until one packet survives, a lost index packet invokes
+a :class:`~repro.simulation.policies.RecoveryPolicy`, and a lost data
+packet is re-read at the bucket's next airing, one cycle later.  Cached
+index packets (``cache_packets > 0``) cost nothing and cannot be lost.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
-from repro.errors import BroadcastError
-from repro.geometry.point import Point
-from repro.obs import active_collector
-from repro.broadcast.caching import PacketCache
-from repro.broadcast.client import AccessResult
-from repro.broadcast.packets import PagedIndex, QueryTrace
-from repro.simulation.candidates import CandidateFn, candidate_provider
+from repro.broadcast.access import AccessClient, SimAccessResult, single_channel
+from repro.broadcast.packets import PagedIndex
 from repro.simulation.energy import EnergyModel
 from repro.simulation.faults import ErrorModel, PerfectChannel
-from repro.simulation.policies import (
-    RecoveryPolicy,
-    record_recovery,
-    recovery_policy,
-)
+from repro.simulation.policies import RecoveryPolicy
+
+__all__ = ["SimAccessResult", "UnreliableBroadcastClient"]
 
 
-class SimAccessResult(AccessResult):
-    """One simulated query's outcome, with fault and energy accounting."""
-
-    __slots__ = ("read_attempts", "packet_losses", "energy_joules", "hops", "hop_slots")
-
-    def __init__(
-        self,
-        region_id: int,
-        access_latency: float,
-        index_tuning_time: int,
-        total_tuning_time: int,
-        trace: QueryTrace,
-        read_attempts: int,
-        packet_losses: int,
-        energy_joules: float,
-        hops: int = 0,
-        hop_slots: float = 0.0,
-    ) -> None:
-        super().__init__(
-            region_id, access_latency, index_tuning_time, total_tuning_time, trace
-        )
-        #: All read attempts (probe + index + data), lost reads included.
-        self.read_attempts = read_attempts
-        #: Reads that were lost or received corrupted.
-        self.packet_losses = packet_losses
-        #: Energy spent on this query (receive + doze), in joules.
-        self.energy_joules = energy_joules
-        #: Channel switches (multi-channel plans only; 0 on one channel).
-        self.hops = hops
-        #: Packet slots spent retuning (doze-priced; part of latency).
-        self.hop_slots = hop_slots
-
-    def __repr__(self) -> str:
-        return (
-            f"SimAccessResult(region={self.region_id}, "
-            f"latency={self.access_latency:.1f}p, "
-            f"losses={self.packet_losses}, "
-            f"energy={self.energy_joules * 1000:.2f}mJ)"
-        )
-
-
-def _segment_for_offset(schedule, offset: int, time: float) -> int:
-    """Start of the earliest index segment whose *offset*-th packet airs
-    at or after *time* (generic over duck-typed schedules)."""
-    method = getattr(schedule, "segment_for_offset", None)
-    if method is not None:
-        return method(offset, time)
-    return schedule.next_index_start(time - offset)
-
-
-class UnreliableBroadcastClient:
+class UnreliableBroadcastClient(AccessClient):
     """A mobile client on a lossy broadcast timeline.
 
     The timeline is a schedule or a
-    :class:`~repro.broadcast.plan.BroadcastPlan`.  A K=1 plan is
-    unwrapped to its single channel's schedule (bit-for-bit the
-    single-channel client); a K>1 plan runs the channel-hopping walk of
-    :class:`~repro.broadcast.channels.ChannelHoppingClient` with every
-    read subject to the error model.  Loss is decided at the *receiver*
-    (one error model regardless of channel — interference hits the
-    client's radio, not one carrier), and each lost index packet invokes
-    the recovery policy against the schedule of the channel being read,
-    so policies work per-channel unchanged.
+    :class:`~repro.broadcast.plan.BroadcastPlan`.  A K=1 plan is its
+    single channel's schedule; a K>1 plan hops between channels with
+    every read subject to the error model.  Loss is decided at the
+    *receiver* (one error model regardless of channel — interference
+    hits the client's radio, not one carrier), and each lost index
+    packet invokes the recovery policy against the schedule of the
+    channel being read.  Without *error_model* the channel is a
+    :class:`~repro.simulation.faults.PerfectChannel`.
     """
 
     def __init__(
@@ -124,444 +49,11 @@ class UnreliableBroadcastClient:
         energy_model: Optional[EnergyModel] = None,
         cache_packets: int = 0,
     ) -> None:
-        from repro.broadcast.plan import BroadcastPlan
-
-        self.plan = None
-        if isinstance(schedule, BroadcastPlan):
-            if schedule.is_single_channel:
-                schedule = schedule.primary_schedule
-            else:
-                self.plan = schedule
-        if len(paged_index.packets) != schedule.index_packet_count:
-            raise BroadcastError(
-                f"schedule built for {schedule.index_packet_count} index "
-                f"packets but the paged index has {len(paged_index.packets)}"
-            )
-        self.paged_index = paged_index
-        self.schedule = schedule
-        self.error_model = error_model if error_model is not None else PerfectChannel()
-        self.policy = (
-            recovery_policy(policy) if isinstance(policy, str) else policy
+        super().__init__(
+            paged_index,
+            single_channel(schedule),
+            cache_packets=cache_packets if cache_packets > 0 else None,
+            error_model=error_model if error_model is not None else PerfectChannel(),
+            policy=policy,
+            energy_model=energy_model,
         )
-        self.energy_model = energy_model if energy_model is not None else EnergyModel()
-        self.cache = PacketCache(cache_packets) if cache_packets > 0 else None
-        self._candidates: Optional[CandidateFn] = None
-
-    # -- one query ----------------------------------------------------------
-
-    def query(self, point: Point, issue_time: float) -> SimAccessResult:
-        """Run the full access protocol for one query under the client's
-        error model, recovery policy and (optional) packet cache."""
-        model = self.error_model
-        model.start_query()
-        self._attempts = 0
-        self._index_attempts = 0
-        self._probe_attempts = 0
-        self._retries = 0
-        self._fell_back = False
-        self._losses = 0
-        self._hops = 0
-        self._index_read_ok: List[int] = []
-
-        trace = self.paged_index.trace(point)
-        accessed = trace.packets_accessed
-        if any(b < a for a, b in zip(accessed, accessed[1:])):
-            raise BroadcastError(
-                "index traversal moved backwards on the broadcast channel: "
-                f"{accessed} — the index broadcast order is invalid"
-            )
-        if self.plan is not None:
-            unique = list(dict.fromkeys(accessed))
-            if self.cache is not None:
-                needed = [pid for pid in unique if pid not in self.cache]
-            else:
-                needed = unique
-        elif self.cache is not None:
-            needed = [pid for pid in accessed if pid not in self.cache]
-        else:
-            needed = list(accessed)
-
-        finish: float
-        if self.plan is not None:
-            finish = self._query_plan(trace.region_id, needed, issue_time)
-        elif self.cache is not None and not needed:
-            # Fully cached search: sleep straight until the data bucket.
-            finish = self._retrieve_data(trace.region_id, issue_time)
-        else:
-            sync_time = self._probe(issue_time)
-            outcome = self._index_search(needed, sync_time)
-            if outcome[0] == "done":
-                finish = self._retrieve_data(trace.region_id, outcome[1])
-            else:  # upper-bound fallback
-                _, fail_time, last_good = outcome
-                finish = self._fallback_download(
-                    trace.region_id, last_good, fail_time
-                )
-        self._update_cache(accessed, needed)
-
-        access_latency = finish - issue_time
-        energy = self.energy_model.query_joules(
-            self._attempts, access_latency, self.schedule.params.packet_capacity
-        )
-        col = active_collector()
-        if col is not None:
-            self._record_query(col, accessed, needed, access_latency)
-        hop_cost = self.plan.hop_cost if self.plan is not None else 0.0
-        return SimAccessResult(
-            region_id=trace.region_id,
-            access_latency=access_latency,
-            index_tuning_time=self._index_attempts,
-            total_tuning_time=self._attempts,
-            trace=trace,
-            read_attempts=self._attempts,
-            packet_losses=self._losses,
-            energy_joules=energy,
-            hops=self._hops,
-            hop_slots=self._hops * hop_cost,
-        )
-
-    def _record_query(
-        self, col, accessed: List[int], needed: List[int], access_latency: float
-    ) -> None:
-        """Emit this query's profile counters (collector installed only).
-
-        Pure observation: every value is read from the bookkeeping the
-        query already did, so enabled runs stay bit-for-bit identical.
-        """
-        col.count("sim.queries")
-        col.count("sim.losses", self._losses)
-        col.count("sim.read_attempts", self._attempts)
-        col.count("sim.reads.probe", self._probe_attempts)
-        col.count("sim.reads.index", self._index_attempts)
-        col.count(
-            "sim.reads.data",
-            self._attempts - self._probe_attempts - self._index_attempts,
-        )
-        col.count("sim.retries", self._retries)
-        if self._fell_back:
-            col.count("sim.fallbacks")
-        hop_slots = 0.0
-        if self.plan is not None:
-            hop_slots = self._hops * self.plan.hop_cost
-            col.count("sim.hops", self._hops)
-            col.count("sim.hop_slots", hop_slots)
-        col.count(
-            "sim.doze_slots",
-            max(access_latency - self._attempts - hop_slots, 0.0),
-        )
-        if self.cache is not None:
-            col.count("sim.cache.hits", len(accessed) - len(needed))
-            col.count("sim.cache.misses", len(needed))
-        receive_j, doze_j = self.energy_model.query_components(
-            self._attempts, access_latency, self.schedule.params.packet_capacity
-        )
-        col.count("sim.energy.receive_j", receive_j)
-        col.count("sim.energy.doze_j", doze_j)
-
-    # -- protocol steps -----------------------------------------------------
-
-    def _probe(self, issue_time: float) -> float:
-        """Step 1: read the packet in flight to learn the broadcast
-        timing; on loss, keep reading successive slots until one packet
-        survives.  Returns the instant the timing is known."""
-        slot = math.floor(issue_time)
-        self._attempts += 1
-        self._probe_attempts += 1
-        if not self.error_model.packet_lost(slot):
-            return issue_time
-        self._losses += 1
-        while True:
-            slot += 1
-            self._attempts += 1
-            self._probe_attempts += 1
-            if not self.error_model.packet_lost(slot):
-                return float(slot + 1)
-            self._losses += 1
-
-    def _index_search(
-        self, needed: List[int], sync_time: float
-    ) -> Tuple:
-        """Step 2: selectively read the uncached packets of the search
-        path, applying the recovery policy on each loss.
-
-        Returns ``("done", index_done)`` when the search completed, or
-        ``("fallback", fail_time, last_good)`` when the policy aborted
-        it in favour of the bucket-download fallback.
-        """
-        schedule = self.schedule
-        if not needed:
-            # Nothing to read (an empty trace): the search trivially ends
-            # one slot into the next index segment, like the reference
-            # client's ``accessed[-1] if accessed else 0`` anchor.
-            return ("done", schedule.next_index_start(sync_time) + 1)
-        if self.cache is not None:
-            base = _segment_for_offset(schedule, needed[0], sync_time)
-        else:
-            base = schedule.next_index_start(sync_time)
-        i = 0
-        while i < len(needed):
-            position = base + needed[i]
-            self._attempts += 1
-            self._index_attempts += 1
-            if self.error_model.packet_lost(position):
-                self._losses += 1
-                if self.policy.falls_back:
-                    record_recovery(self.policy)
-                    self._fell_back = True
-                    last_good = needed[i - 1] if i > 0 else None
-                    return ("fallback", float(position + 1), last_good)
-                self._retries += 1
-                base = self.policy.resume_segment_base(schedule, base, position)
-            else:
-                self._index_read_ok.append(needed[i])
-                i += 1
-        return ("done", float(base + needed[-1] + 1))
-
-    def _retrieve_data(self, region_id: int, ready_time: float) -> float:
-        """Step 3: download the bucket, re-reading lost packets at the
-        bucket's next airing (one cycle later).  Returns the completion
-        instant."""
-        start = self.schedule.next_bucket_arrival(region_id, float(ready_time))
-        return self._download_bucket(start, first_done=False)
-
-    def _download_bucket(
-        self, start: int, first_done: bool, schedule=None
-    ) -> float:
-        """Read a bucket's packets from its airing at *start*; packets
-        lost in one airing are re-read one cycle later, until all are in.
-        ``first_done`` marks the first packet as already received.
-        *schedule* selects the timeline the bucket airs on (a channel's
-        schedule under a multi-channel plan; the client's own otherwise).
-        """
-        if schedule is None:
-            schedule = self.schedule
-        cycle = schedule.cycle_length
-        pending = list(range(1 if first_done else 0, schedule.bucket_packets))
-        finish = float(start + 1) if first_done else float(start)
-        base = start
-        while pending:
-            still_lost: List[int] = []
-            for j in pending:
-                position = base + j
-                self._attempts += 1
-                if self.error_model.packet_lost(position):
-                    self._losses += 1
-                    still_lost.append(j)
-                else:
-                    finish = max(finish, float(position + 1))
-            pending = still_lost
-            base += cycle
-        return finish
-
-    def _fallback_download(
-        self, true_region: int, last_good: Optional[int], fail_time: float
-    ) -> float:
-        """Upper-bound fallback: inspect candidate buckets in arrival
-        order (first packet carries the valid scope) until the query's
-        own region arrives, then download it fully."""
-        if self._candidates is None:
-            self._candidates = candidate_provider(
-                self.paged_index, self.schedule.region_ids
-            )
-        unresolved = set(self._candidates(last_good))
-        if true_region not in unresolved:
-            raise BroadcastError(
-                f"candidate bound for packet {last_good} omits the true "
-                f"region {true_region} — the provider is unsound"
-            )
-        schedule = self.schedule
-        t = fail_time
-        while True:
-            region, arrival = min(
-                (
-                    (r, schedule.next_bucket_arrival(r, t))
-                    for r in unresolved
-                ),
-                key=lambda pair: pair[1],
-            )
-            self._attempts += 1
-            if self.error_model.packet_lost(arrival):
-                self._losses += 1
-                t = float(arrival + 1)
-                continue
-            if region == true_region:
-                return self._download_bucket(arrival, first_done=True)
-            unresolved.discard(region)
-            t = float(arrival + 1)
-
-    # -- multi-channel protocol (BroadcastPlan with K > 1) ------------------
-
-    def _query_plan(
-        self, region_id: int, needed: List[int], issue_time: float
-    ) -> float:
-        """The three-step protocol across the channels of ``self.plan``.
-
-        Mirrors :meth:`ChannelHoppingClient.query
-        <repro.broadcast.channels.ChannelHoppingClient.query>` with every
-        read subject to the error model; at error rate zero the two are
-        bit-for-bit identical.  Hops cost latency (``hop_cost`` slots
-        each) but no tuning — the radio retunes at doze-level draw.
-        """
-        current = 0
-        if self.cache is not None and not needed:
-            return self._retrieve_data_plan(region_id, issue_time, current)
-        sync_time = self._probe(issue_time)
-        outcome = self._index_search_plan(needed, sync_time, current)
-        if outcome[0] == "done":
-            _, ready_time, current = outcome
-            return self._retrieve_data_plan(region_id, ready_time, current)
-        _, fail_time, last_good, current = outcome
-        return self._fallback_download_plan(
-            region_id, last_good, fail_time, current
-        )
-
-    def _index_search_plan(
-        self, needed: List[int], sync_time: float, current: int
-    ) -> Tuple:
-        """Step 2 across channels: each packet is read on its home
-        channel (hopping as needed); a loss invokes the recovery policy
-        against *that channel's* schedule, so policies work per-channel
-        unchanged.
-
-        Returns ``("done", index_done, channel)`` or
-        ``("fallback", fail_time, last_good, channel)``.
-        """
-        plan = self.plan
-        t = sync_time
-        if not needed:
-            schedule = plan.channels[current].schedule
-            return ("done", schedule.next_index_start(t) + 1, current)
-        anchored = self.cache is not None
-        for i, pid in enumerate(needed):
-            chan, offset = plan.index_home(pid, current)
-            if chan != current:
-                t += plan.hop_cost
-                self._hops += 1
-                current = chan
-            schedule = plan.channels[chan].schedule
-            if anchored:
-                base = schedule.segment_for_offset(offset, t)
-            else:
-                base = schedule.next_index_start(t)
-                anchored = True
-            while True:
-                position = base + offset
-                self._attempts += 1
-                self._index_attempts += 1
-                if self.error_model.packet_lost(position):
-                    self._losses += 1
-                    if self.policy.falls_back:
-                        record_recovery(self.policy)
-                        self._fell_back = True
-                        last_good = needed[i - 1] if i > 0 else None
-                        return ("fallback", float(position + 1), last_good, current)
-                    self._retries += 1
-                    base = self.policy.resume_segment_base(
-                        schedule, base, position
-                    )
-                else:
-                    self._index_read_ok.append(pid)
-                    t = float(base + offset + 1)
-                    break
-        return ("done", t, current)
-
-    def _retrieve_data_plan(
-        self, region_id: int, ready_time: float, current: int
-    ) -> float:
-        """Step 3: hop to the bucket's home channel and download it."""
-        plan = self.plan
-        target = plan.channel_of_region(region_id)
-        t = float(ready_time)
-        if target != current:
-            t += plan.hop_cost
-            self._hops += 1
-        schedule = plan.channels[target].schedule
-        start = schedule.next_bucket_arrival(region_id, t)
-        return self._download_bucket(start, first_done=False, schedule=schedule)
-
-    def _fallback_download_plan(
-        self,
-        true_region: int,
-        last_good: Optional[int],
-        fail_time: float,
-        current: int,
-    ) -> float:
-        """Upper-bound fallback across channels: at each step inspect the
-        earliest-arriving candidate bucket plan-wide (charging a hop if
-        it airs on another channel) until the query's own region arrives,
-        then download it fully on its home channel."""
-        plan = self.plan
-        if self._candidates is None:
-            self._candidates = candidate_provider(
-                self.paged_index, plan.region_ids
-            )
-        unresolved = set(self._candidates(last_good))
-        if true_region not in unresolved:
-            raise BroadcastError(
-                f"candidate bound for packet {last_good} omits the true "
-                f"region {true_region} — the provider is unsound"
-            )
-        t = fail_time
-        while True:
-            best = None
-            for r in sorted(unresolved):
-                chan = plan.channel_of_region(r)
-                t_r = t + plan.hop_cost if chan != current else t
-                arrival = plan.channels[chan].schedule.next_bucket_arrival(
-                    r, float(t_r)
-                )
-                if best is None or arrival < best[1]:
-                    best = (r, arrival, chan)
-            region, arrival, chan = best
-            if chan != current:
-                self._hops += 1
-                current = chan
-            self._attempts += 1
-            if self.error_model.packet_lost(arrival):
-                self._losses += 1
-                t = float(arrival + 1)
-                continue
-            if region == true_region:
-                return self._download_bucket(
-                    arrival,
-                    first_done=True,
-                    schedule=plan.channels[chan].schedule,
-                )
-            unresolved.discard(region)
-            t = float(arrival + 1)
-
-    # -- workloads ----------------------------------------------------------
-
-    def run_workload(
-        self,
-        points,
-        *,
-        issue_times=None,
-        seed: int = 0,
-        rng=None,
-    ) -> List[SimAccessResult]:
-        """Query each point at a uniform-random instant (shared
-        keyword-only workload signature; see
-        :func:`repro.broadcast.client.run_workload`).  The error model's
-        state is whatever it currently is — reseed via
-        :class:`~repro.simulation.simulator.ChannelSimulator` for the
-        deterministic fault-schedule contract."""
-        from repro.broadcast.client import run_workload
-
-        return run_workload(
-            self, points, issue_times=issue_times, seed=seed, rng=rng
-        )
-
-    def _update_cache(self, accessed: List[int], needed: List[int]) -> None:
-        """Refresh cache entries for hits and successfully read packets.
-
-        After a fallback the trailing part of the search path was never
-        received, so only the prefix up to the first un-read packet is
-        touched.
-        """
-        if self.cache is None:
-            return
-        read_ok = set(self._index_read_ok)
-        for pid in accessed:
-            if pid not in needed or pid in read_ok:
-                self.cache.touch(pid)

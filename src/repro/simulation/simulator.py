@@ -28,23 +28,13 @@ from repro.errors import BroadcastError
 from repro.obs import active_collector, null_span
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
-from repro.broadcast.schedule import BroadcastSchedule
+from repro.broadcast.plan import workload_timeline
+from repro.engine.batch import workload_points
 from repro.simulation.client import SimAccessResult, UnreliableBroadcastClient
 from repro.simulation.energy import EnergyModel
 from repro.simulation.faults import ErrorModel, make_error_model
 from repro.simulation.policies import RecoveryPolicy
 from repro.simulation.report import SimulationReport
-
-try:  # pragma: no cover - mirror the engine's Workload union
-    from repro.workload.generators import QueryWorkload
-except ImportError:  # pragma: no cover
-    QueryWorkload = None  # type: ignore[assignment]
-
-
-def _workload_points(workload) -> Sequence:
-    if QueryWorkload is not None and isinstance(workload, QueryWorkload):
-        return workload.points
-    return workload
 
 
 class ChannelSimulator:
@@ -69,9 +59,6 @@ class ChannelSimulator:
             energy_model=energy_model,
             cache_packets=cache_packets,
         )
-        # A K=1 plan is unwrapped by the client; mirror its view so the
-        # issue-time horizon (cycle_length) matches bit for bit.
-        self.schedule = self.client.plan if self.client.plan is not None else self.client.schedule
         self.index_kind = index_kind
 
     def run_workload(
@@ -105,7 +92,7 @@ class ChannelSimulator:
         rng is re-derived from the seed, so repeated calls with one seed
         replay the identical fault schedule.
         """
-        points = _workload_points(workload)
+        points = workload_points(workload)
         n = len(points)
         if n == 0:
             raise BroadcastError("need at least one query point")
@@ -113,7 +100,7 @@ class ChannelSimulator:
             if rng is None:
                 rng = random.Random(seed)
             issue_times = [
-                rng.uniform(0, self.schedule.cycle_length) for _ in range(n)
+                rng.uniform(0, self.client.cycle_length) for _ in range(n)
             ]
         elif len(issue_times) != n:
             raise BroadcastError(
@@ -185,24 +172,10 @@ def simulate_workload(
     :class:`~repro.broadcast.plan.BroadcastPlan`) to simulate a
     multi-channel broadcast instead of a single timeline.
     """
-    points = _workload_points(workload)
+    points = workload_points(workload)
     if not points:
         raise BroadcastError("need at least one query point")
-    if plan is not None:
-        if schedule is not None:
-            raise BroadcastError("pass either schedule= or plan=, not both")
-        schedule = plan
-    if schedule is None:
-        schedule = BroadcastSchedule(
-            index_packet_count=len(paged_index.packets),
-            region_ids=list(region_ids),
-            params=params,
-            m=m,
-        )
-    elif schedule.index_packet_count != len(paged_index.packets):
-        raise BroadcastError(
-            "provided schedule was built for a different index size"
-        )
+    schedule = workload_timeline(paged_index, region_ids, params, m, schedule, plan)
     if isinstance(error_model, str):
         error_model = make_error_model(error_model, error_rate, mean_burst)
     simulator = ChannelSimulator(
