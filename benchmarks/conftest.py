@@ -2,7 +2,7 @@
 
 The figure benchmarks run on the ``quick`` configuration (datasets ~10x
 smaller than the paper's) so a full `pytest benchmarks/ --benchmark-only`
-finishes in minutes; `python -m repro all --scale paper` regenerates the
+finishes in minutes; `python -m repro run all --scale paper` regenerates the
 full-scale numbers recorded in EXPERIMENTS.md.  Every benchmark prints the
 series it measured and asserts the paper's qualitative shape.
 

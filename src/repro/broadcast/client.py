@@ -31,21 +31,3 @@ class BroadcastClient(AccessClient):
 
     def __init__(self, paged_index: PagedIndex, schedule) -> None:
         super().__init__(paged_index, single_channel(schedule))
-
-    def run_workload(self, points, *args, issue_times=None, seed=0, rng=None):
-        """Query each point at a uniform-random instant in the cycle.
-
-        This is the shared keyword-only workload signature (see the
-        module-level :func:`run_workload`).  The historical positional
-        form ``run_workload(points, seed, issue_times, rng)`` still
-        works but is deprecated.
-        """
-        if args:
-            from repro._deprecated import coerce_positional_run_workload
-
-            seed, issue_times, rng = coerce_positional_run_workload(
-                args, seed, issue_times, rng
-            )
-        return run_workload(
-            self, points, issue_times=issue_times, seed=seed, rng=rng
-        )

@@ -12,11 +12,11 @@ share a channel.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import BroadcastError
 from repro.geometry.point import Point
-from repro.broadcast.access import AccessResult, check_forward
+from repro.broadcast.access import AccessClient, AccessResult
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.schedule import BroadcastSchedule
@@ -103,6 +103,10 @@ class MultiplexedBroadcast:
             ]
             for name, service in self.services.items()
         }
+        self._clients: Dict[str, AccessClient] = {
+            name: AccessClient(service.paged_index, _ServiceTimeline(self, name))
+            for name, service in self.services.items()
+        }
 
     def service(self, name: str) -> Service:
         try:
@@ -153,18 +157,25 @@ class MultiplexedBroadcast:
 
     def query(self, name: str, point: Point, issue_time: float) -> AccessResult:
         """Full access protocol against one service of the super cycle."""
-        service = self.service(name)
-        segment_start = self.next_index_start(name, issue_time)
-        trace = service.paged_index.trace(point)
-        accessed = trace.packets_accessed
-        check_forward(accessed)
-        index_done = segment_start + (accessed[-1] if accessed else 0) + 1
-        bucket_start = self.next_bucket_arrival(name, trace.region_id, index_done)
-        bucket_end = bucket_start + service.schedule.bucket_packets
-        return AccessResult(
-            region_id=trace.region_id,
-            access_latency=bucket_end - issue_time,
-            index_tuning_time=trace.tuning_time,
-            total_tuning_time=1 + trace.tuning_time + service.schedule.bucket_packets,
-            trace=trace,
-        )
+        self.service(name)  # raise on unknown names
+        return self._clients[name].query(point, issue_time)
+
+
+class _ServiceTimeline:
+    """One service's view of the super cycle: the timeline an
+    :class:`~repro.broadcast.access.AccessClient` walks, with the
+    service's offset applied to every position."""
+
+    def __init__(self, broadcast: MultiplexedBroadcast, name: str) -> None:
+        schedule = broadcast.services[name].schedule
+        self.broadcast = broadcast
+        self.name = name
+        self.index_packet_count = schedule.index_packet_count
+        self.bucket_packets = schedule.bucket_packets
+        self.cycle_length = broadcast.cycle_length
+
+    def next_index_start(self, time: float) -> float:
+        return self.broadcast.next_index_start(self.name, time)
+
+    def next_bucket_arrival(self, region_id: int, time: float) -> float:
+        return self.broadcast.next_bucket_arrival(self.name, region_id, time)

@@ -11,24 +11,27 @@ a few kilobytes back to the parent regardless of chunk size.
 Merge algebra
 -------------
 
-``FleetReport.merge`` is associative with the empty report as identity,
-and — because chunk results are folded **in chunk order** and sums use
-Neumaier-compensated accumulation — a merged fleet report is exactly
-equal (counters, sums, sketches) to the report a single worker would
-have produced over the same chunking.  Worker count therefore never
-changes a reported number; see DESIGN.md §12.
+:class:`StreamingReport` holds the one merge algebra of the streaming
+reports (:class:`FleetReport` and
+:class:`~repro.mobility.report.MobilityReport`): ``merge`` is
+associative with the empty report as identity, and — because chunk
+results are folded **in chunk order** and sums use Neumaier-compensated
+accumulation — a merged report is exactly equal (counters, sums,
+sketches) to the report a single worker would have produced over the
+same chunking.  Worker count therefore never changes a reported number;
+see DESIGN.md §12.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.fleet.sketch import QuantileSketch
-from repro.simulation.report import PERCENTILES
+from repro.simulation.report import PERCENTILES, reconcile_labels
 
 #: The per-query metrics every fleet report aggregates.
 METRIC_FIELDS = ("access_latency", "tuning_time", "energy_joules")
@@ -116,49 +119,38 @@ class MetricAggregate:
         return f"MetricAggregate(n={self.count}, mean={self.mean:.4g})"
 
 
-class FleetReport:
-    """Aggregated outcome of a fleet run (any number of chunks/workers).
+class StreamingReport:
+    """The merge algebra shared by the streaming reports.
 
-    Carries, per metric, a :class:`MetricAggregate`; globally, the query
-    and loss counters; and, keyed by chunk index, the per-query answer
-    (region id) arrays — 8 bytes per query, the one per-query artifact
-    kept so that worker-count invariance can be asserted array-exactly.
-    Answer retention can be disabled (``keep_answers=False`` upstream)
-    for fleets where even that is too much.
+    A subclass declares its ``LABELS`` (reconciled on merge: an empty
+    side takes the other side's), its ``COUNTERS`` (added on merge; the
+    first counts the report's items, so 0 marks an empty report) and its
+    ``METRICS`` (one :class:`MetricAggregate` each), and folds chunks in
+    its own ``observe_chunk``.  Every report also carries, keyed by
+    chunk index, the per-item answer (region id) arrays — 8 bytes per
+    item, the one per-item artifact kept so that worker-count invariance
+    can be asserted array-exactly — and the total read ``attempts``,
+    which ``to_dict`` leaves out.
     """
 
     __slots__ = (
-        "mode",
-        "index_kind",
-        "policy",
-        "error_model",
-        "queries",
-        "losses",
-        "attempts",
-        "metrics",
-        "answers",
-        "chunk_count",
-        "elapsed_seconds",
+        "attempts", "metrics", "answers", "chunk_count", "elapsed_seconds"
     )
 
-    def __init__(
-        self,
-        mode: str = "?",
-        index_kind: str = "?",
-        policy: str = "?",
-        error_model: str = "?",
-        alpha: float = 0.01,
-    ) -> None:
-        #: ``"engine"`` (error-free batched engine) or ``"simulate"``.
-        self.mode = mode
-        self.index_kind = index_kind
-        self.policy = policy
-        self.error_model = error_model
-        self.queries = 0
-        self.losses = 0
+    LABELS: Tuple[str, ...] = ()
+    COUNTERS: Tuple[str, ...] = ()
+    METRICS: Tuple[str, ...] = ()
+    #: What the reports are called in merge errors.
+    KIND = "streaming"
+
+    def __init__(self, alpha: float, **labels: str) -> None:
+        for name, value in labels.items():
+            setattr(self, name, value)
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         self.attempts = 0
         self.metrics: Dict[str, MetricAggregate] = {
-            name: MetricAggregate(alpha=alpha) for name in METRIC_FIELDS
+            name: MetricAggregate(alpha=alpha) for name in self.METRICS
         }
         #: chunk index -> int64 answer array (region ids) for that chunk.
         self.answers: Dict[int, np.ndarray] = {}
@@ -169,73 +161,42 @@ class FleetReport:
 
     # -- recording ------------------------------------------------------------
 
-    def observe_chunk(
-        self,
-        chunk_index: int,
-        region_ids: np.ndarray,
-        access_latency: np.ndarray,
-        tuning_time: np.ndarray,
-        energy_joules: np.ndarray,
-        losses: int = 0,
-        attempts: Optional[int] = None,
-        keep_answers: bool = True,
-    ) -> None:
-        """Fold one evaluated chunk into the report."""
+    def _check_new_chunk(self, chunk_index: int) -> None:
         if chunk_index in self.answers:
             raise ReproError(f"chunk {chunk_index} folded twice")
-        n = len(region_ids)
-        self.queries += n
-        self.losses += int(losses)
-        self.attempts += (
-            int(attempts)
-            if attempts is not None
-            else int(np.sum(tuning_time))
-        )
-        self.metrics["access_latency"].observe_chunk(access_latency)
-        self.metrics["tuning_time"].observe_chunk(tuning_time)
-        self.metrics["energy_joules"].observe_chunk(energy_joules)
+
+    def _close_chunk(self, chunk_index: int, answers, keep_answers: bool) -> None:
         if keep_answers:
-            self.answers[chunk_index] = np.asarray(region_ids, np.int64)
+            self.answers[chunk_index] = np.asarray(answers, np.int64)
         self.chunk_count += 1
 
     # -- merging --------------------------------------------------------------
 
-    def _reconcile_label(self, name: str, other: "FleetReport") -> str:
-        mine = getattr(self, name)
-        theirs = getattr(other, name)
-        if mine == theirs:
-            return mine
-        if self.queries == 0:
-            return theirs
-        if other.queries == 0:
-            return mine
-        raise ReproError(
-            f"cannot merge fleet reports with different {name}: "
-            f"{mine!r} vs {theirs!r}"
-        )
-
-    def merge(self, other: "FleetReport") -> "FleetReport":
+    def merge(self, other: "StreamingReport") -> "StreamingReport":
         """Fold *other* into this report (in place, associative; an
         all-default report is the identity)."""
-        if not isinstance(other, FleetReport):
+        if not isinstance(other, type(self)):
             raise ReproError(
-                f"cannot merge FleetReport with {type(other).__name__}"
+                f"cannot merge {type(self).__name__} with "
+                f"{type(other).__name__}"
             )
-        labels = {
-            name: self._reconcile_label(name, other)
-            for name in ("mode", "index_kind", "policy", "error_model")
-        }
+        size = self.COUNTERS[0]
+        labels = reconcile_labels(
+            self, other, self.LABELS,
+            getattr(self, size) == 0, getattr(other, size) == 0,
+            f"{self.KIND} reports", ReproError,
+        )
         overlap = self.answers.keys() & other.answers.keys()
         if overlap:
             raise ReproError(
-                f"fleet reports overlap on chunks {sorted(overlap)}"
+                f"{self.KIND} reports overlap on chunks {sorted(overlap)}"
             )
         for name, value in labels.items():
             setattr(self, name, value)
-        self.queries += other.queries
-        self.losses += other.losses
+        for name in self.COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.attempts += other.attempts
-        for name in METRIC_FIELDS:
+        for name in self.METRICS:
             self.metrics[name].merge(other.metrics[name])
         self.answers.update(other.answers)
         self.chunk_count += other.chunk_count
@@ -256,6 +217,74 @@ class FleetReport:
         """Sketch-backed ``{"p50": ..., "p95": ..., "p99": ...}``."""
         agg = self.metrics[metric]
         return {f"p{q}": agg.percentile(q) for q in PERCENTILES}
+
+    def to_dict(self) -> dict:
+        """JSON-ready summary (answers excluded; they are a parity
+        artifact, not a result)."""
+        out = {"mode": self.mode}
+        out.update((name, getattr(self, name)) for name in self.LABELS)
+        out.update((name, getattr(self, name)) for name in self.COUNTERS)
+        out["chunks"] = self.chunk_count
+        out["elapsed_seconds"] = self.elapsed_seconds
+        out["metrics"] = {
+            name: agg.to_dict() for name, agg in self.metrics.items()
+        }
+        return out
+
+
+class FleetReport(StreamingReport):
+    """Aggregated outcome of a fleet run (any number of chunks/workers).
+
+    Carries, per metric, a :class:`MetricAggregate`; globally, the query
+    and loss counters; and the per-query answer arrays.  Answer
+    retention can be disabled (``keep_answers=False`` upstream) for
+    fleets where even that is too much.  ``mode`` is ``"engine"``
+    (error-free batched engine) or ``"simulate"``.
+    """
+
+    LABELS = ("mode", "index_kind", "policy", "error_model")
+    COUNTERS = ("queries", "losses")
+    METRICS = METRIC_FIELDS
+    KIND = "fleet"
+    __slots__ = LABELS + COUNTERS
+
+    def __init__(
+        self,
+        mode: str = "?",
+        index_kind: str = "?",
+        policy: str = "?",
+        error_model: str = "?",
+        alpha: float = 0.01,
+    ) -> None:
+        super().__init__(
+            alpha, mode=mode, index_kind=index_kind, policy=policy,
+            error_model=error_model,
+        )
+
+    def observe_chunk(
+        self,
+        chunk_index: int,
+        region_ids: np.ndarray,
+        access_latency: np.ndarray,
+        tuning_time: np.ndarray,
+        energy_joules: np.ndarray,
+        losses: int = 0,
+        attempts: Optional[int] = None,
+        keep_answers: bool = True,
+    ) -> None:
+        """Fold one evaluated chunk into the report."""
+        self._check_new_chunk(chunk_index)
+        self.queries += len(region_ids)
+        self.losses += int(losses)
+        self.attempts += (
+            int(attempts)
+            if attempts is not None
+            else int(np.sum(tuning_time))
+        )
+        self.metrics["access_latency"].observe_chunk(access_latency)
+        self.metrics["tuning_time"].observe_chunk(tuning_time)
+        self.metrics["energy_joules"].observe_chunk(energy_joules)
+        self._close_chunk(chunk_index, region_ids, keep_answers)
 
     def summary(self) -> Dict[str, float]:
         """Flat summary row mirroring ``SimulationReport.summary()``
@@ -280,23 +309,6 @@ class FleetReport:
             for key, value in self.percentiles(metric).items():
                 out[f"{label}_{key}"] = value
         return out
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary (answers excluded; they are a parity
-        artifact, not a result)."""
-        return {
-            "mode": self.mode,
-            "index_kind": self.index_kind,
-            "policy": self.policy,
-            "error_model": self.error_model,
-            "queries": self.queries,
-            "losses": self.losses,
-            "chunks": self.chunk_count,
-            "elapsed_seconds": self.elapsed_seconds,
-            "metrics": {
-                name: agg.to_dict() for name, agg in self.metrics.items()
-            },
-        }
 
     def __repr__(self) -> str:
         return (

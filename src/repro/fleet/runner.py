@@ -14,7 +14,7 @@ more than one chunk of per-query state:
   mode — chunks of trajectories folded into a
   :class:`~repro.mobility.report.MobilityReport`) and is immediately
   folded into the mode's streaming report;
-* with ``workers > 1`` chunks fan out over a ``multiprocessing`` pool
+* with ``workers > 1`` chunks fan out over a process pool
   whose workers attach the parent's compiled index/schedule arrays
   zero-copy from a :class:`~repro.fleet.shm.ShmArena`.
 
@@ -46,7 +46,7 @@ from repro.obs import Collector, active_collector, collecting
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.engine import QueryEngine, index_family
 from repro.simulation.energy import EnergyModel
-from repro.simulation.faults import make_error_model
+from repro.simulation.faults import channel_label, make_error_model
 from repro.simulation.simulator import ChannelSimulator
 from repro.fleet.report import FleetReport
 from repro.fleet.shm import ShmArena, attach_compiled_state, export_compiled_state
@@ -220,22 +220,14 @@ class _WorkerState:
         :class:`~repro.mobility.report.MobilityReport`."""
         from repro.mobility.evaluate import evaluate_trajectory_workload
         from repro.mobility.report import MobilityReport
-        from repro.simulation.faults import PerfectChannel
 
         spec = self.spec
-        channel_label = (
-            repr(
-                make_error_model(
-                    spec.error_model_name, spec.error_rate, spec.mean_burst
-                )
-            )
-            if spec.error_rate > 0.0
-            else repr(PerfectChannel())
-        )
         report = MobilityReport(
             index_kind=spec.index_kind,
             client="predictive" if spec.predictive else "naive",
-            error_model=channel_label,
+            error_model=channel_label(
+                spec.error_model_name, spec.error_rate, spec.mean_burst
+            ),
             alpha=spec.alpha,
         )
         if size == 0:
@@ -428,8 +420,14 @@ class FleetRunner:
         return outcomes
 
     def _run_pool(self, tasks: List[_ChunkTask]) -> List[tuple]:
-        """Fan chunks out over a process pool with shared compiled state."""
+        """Fan chunks out over a process pool with shared compiled state.
+
+        A worker that dies (killed, out of memory) fails the run with a
+        :class:`ReproError`; the shared-memory arena is unlinked either
+        way."""
         import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         spec = self.spec
         # Compile once in the parent; workers reattach the arrays.
@@ -447,8 +445,9 @@ class FleetRunner:
         spec_bytes = pickle.dumps(spec)
         ctx = mp.get_context(self.start_method)
         try:
-            with ctx.Pool(
-                processes=self.workers,
+            with ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=ctx,
                 initializer=_init_worker,
                 initargs=(
                     spec_bytes,
@@ -457,7 +456,9 @@ class FleetRunner:
                     meta,
                 ),
             ) as pool:
-                return list(pool.imap_unordered(_run_chunk, tasks))
+                return list(pool.map(_run_chunk, tasks))
+        except BrokenProcessPool as exc:
+            raise ReproError(f"a fleet worker died mid-run: {exc}") from exc
         finally:
             if arena is not None:
                 arena.close()

@@ -5,9 +5,10 @@ evaluated chunk of trajectories folds into per-metric
 :class:`~repro.fleet.report.MetricAggregate` streams (Neumaier sums,
 exact min/max, mergeable quantile sketch) plus integer counters, so a
 100k-client fleet ships kilobytes per chunk regardless of chunk size.
-Merging follows the fleet's algebra — associative, empty identity,
-chunk-ordered folds reproduce the single-worker accumulation exactly —
-which is what makes the report worker-count invariant.
+Merging is the fleet's algebra (:class:`~repro.fleet.report.StreamingReport`)
+— associative, empty identity, chunk-ordered folds reproduce the
+single-worker accumulation exactly — which is what makes the report
+worker-count invariant.
 
 The headline metric is **re-tunes per km**: total re-tunes divided by
 total distance travelled, the continuous-query cost measure motivated by
@@ -16,13 +17,11 @@ the moving-objects literature (PAPERS.md).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from repro.errors import ReproError
-from repro.fleet.report import MetricAggregate
-from repro.simulation.report import PERCENTILES
+from repro.fleet.report import StreamingReport
 
 #: The per-client metrics every mobility report aggregates.
 MOBILITY_METRIC_FIELDS = (
@@ -35,23 +34,18 @@ MOBILITY_METRIC_FIELDS = (
 )
 
 
-class MobilityReport:
-    """Aggregated outcome of a mobility fleet run."""
+class MobilityReport(StreamingReport):
+    """Aggregated outcome of a mobility fleet run.
 
-    __slots__ = (
-        "index_kind",
-        "client",
-        "error_model",
-        "clients",
-        "epochs",
-        "skips",
-        "losses",
-        "attempts",
-        "metrics",
-        "answers",
-        "chunk_count",
-        "elapsed_seconds",
-    )
+    ``client`` is ``"predictive"`` (scope-exit skipping) or ``"naive"``;
+    the retained answers are each client's final-epoch answer.
+    """
+
+    LABELS = ("index_kind", "client", "error_model")
+    COUNTERS = ("clients", "epochs", "skips", "losses")
+    METRICS = MOBILITY_METRIC_FIELDS
+    KIND = "mobility"
+    __slots__ = LABELS + COUNTERS
 
     #: Label value shared with FleetReport's ``mode`` slot semantics.
     mode = "mobility"
@@ -63,33 +57,16 @@ class MobilityReport:
         error_model: str = "?",
         alpha: float = 0.01,
     ) -> None:
-        self.index_kind = index_kind
-        #: ``"predictive"`` (scope-exit skipping) or ``"naive"``.
-        self.client = client
-        self.error_model = error_model
-        self.clients = 0
-        self.epochs = 0
-        self.skips = 0
-        self.losses = 0
-        self.attempts = 0
-        self.metrics: Dict[str, MetricAggregate] = {
-            name: MetricAggregate(alpha=alpha)
-            for name in MOBILITY_METRIC_FIELDS
-        }
-        #: chunk index -> final-epoch answer per client (parity artifact).
-        self.answers: Dict[int, np.ndarray] = {}
-        self.chunk_count = 0
-        self.elapsed_seconds: Optional[float] = None
-
-    # -- recording ------------------------------------------------------------
+        super().__init__(
+            alpha, index_kind=index_kind, client=client, error_model=error_model
+        )
 
     def observe_chunk(
         self, chunk_index: int, batch, keep_answers: bool = True
     ) -> None:
         """Fold one evaluated trajectory chunk (a
         :class:`~repro.mobility.evaluate.MobilityBatchResult`) in."""
-        if chunk_index in self.answers:
-            raise ReproError(f"chunk {chunk_index} folded twice")
+        self._check_new_chunk(chunk_index)
         self.clients += int(batch.retunes.size)
         self.epochs += int(np.sum(batch.epochs))
         self.skips += int(np.sum(batch.skips))
@@ -104,63 +81,7 @@ class MobilityReport:
         self.metrics["retunes_per_km"].observe_chunk(
             batch.retunes[moved] / batch.distance_km[moved]
         )
-        if keep_answers:
-            self.answers[chunk_index] = np.asarray(
-                batch.final_answers, np.int64
-            )
-        self.chunk_count += 1
-
-    # -- merging --------------------------------------------------------------
-
-    def _reconcile_label(self, name: str, other: "MobilityReport") -> str:
-        mine = getattr(self, name)
-        theirs = getattr(other, name)
-        if mine == theirs:
-            return mine
-        if self.clients == 0:
-            return theirs
-        if other.clients == 0:
-            return mine
-        raise ReproError(
-            f"cannot merge mobility reports with different {name}: "
-            f"{mine!r} vs {theirs!r}"
-        )
-
-    def merge(self, other: "MobilityReport") -> "MobilityReport":
-        """Fold *other* in (in place, associative, empty identity)."""
-        if not isinstance(other, MobilityReport):
-            raise ReproError(
-                f"cannot merge MobilityReport with {type(other).__name__}"
-            )
-        labels = {
-            name: self._reconcile_label(name, other)
-            for name in ("index_kind", "client", "error_model")
-        }
-        overlap = self.answers.keys() & other.answers.keys()
-        if overlap:
-            raise ReproError(
-                f"mobility reports overlap on chunks {sorted(overlap)}"
-            )
-        for name, value in labels.items():
-            setattr(self, name, value)
-        self.clients += other.clients
-        self.epochs += other.epochs
-        self.skips += other.skips
-        self.losses += other.losses
-        self.attempts += other.attempts
-        for name in MOBILITY_METRIC_FIELDS:
-            self.metrics[name].merge(other.metrics[name])
-        self.answers.update(other.answers)
-        self.chunk_count += other.chunk_count
-        return self
-
-    # -- reductions ------------------------------------------------------------
-
-    def merged_answers(self) -> np.ndarray:
-        """Final-epoch answers concatenated in chunk order."""
-        if not self.answers:
-            return np.zeros(0, np.int64)
-        return np.concatenate([self.answers[i] for i in sorted(self.answers)])
+        self._close_chunk(chunk_index, batch.final_answers, keep_answers)
 
     @property
     def retunes(self) -> int:
@@ -183,10 +104,6 @@ class MobilityReport:
     @property
     def skip_ratio(self) -> float:
         return self.skips / self.epochs if self.epochs else float("nan")
-
-    def percentiles(self, metric: str) -> Dict[str, float]:
-        agg = self.metrics[metric]
-        return {f"p{q}": agg.percentile(q) for q in PERCENTILES}
 
     def summary(self) -> Dict[str, float]:
         """Flat summary row (floats only, like the fleet summary)."""
@@ -213,23 +130,6 @@ class MobilityReport:
             for key, value in self.percentiles(metric).items():
                 out[f"{label}_{key}"] = value
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "index_kind": self.index_kind,
-            "client": self.client,
-            "error_model": self.error_model,
-            "clients": self.clients,
-            "epochs": self.epochs,
-            "skips": self.skips,
-            "losses": self.losses,
-            "chunks": self.chunk_count,
-            "elapsed_seconds": self.elapsed_seconds,
-            "metrics": {
-                name: agg.to_dict() for name, agg in self.metrics.items()
-            },
-        }
 
     def __repr__(self) -> str:
         return (

@@ -70,18 +70,24 @@ class Trajectory:
             np.interp(s, self.cum_lengths, self.ys),
         )
 
-    def epoch_times(self, epoch_slots: float, max_epochs: int = 0) -> np.ndarray:
-        """The sampling grid: ``issue_time + e * epoch_slots``.
+    def epoch_count(self, epoch_slots: float, max_epochs: int = 0) -> int:
+        """Size of the sampling grid of :meth:`epoch_times`.
 
-        Covers the traversal (last epoch at or before arrival), always
-        includes epoch 0, and is truncated to *max_epochs* when positive
-        — the bound that keeps fleet-scale evaluation affordable.
+        Every epoch at or before arrival, epoch 0 included, truncated to
+        *max_epochs* when positive — the bound that keeps fleet-scale
+        evaluation affordable.
         """
         if epoch_slots <= 0.0:
             raise ReproError(f"epoch_slots must be > 0, got {epoch_slots}")
         epochs = int(self.duration_slots / epoch_slots) + 1
         if max_epochs > 0:
             epochs = min(epochs, max_epochs)
+        return epochs
+
+    def epoch_times(self, epoch_slots: float, max_epochs: int = 0) -> np.ndarray:
+        """The sampling grid: ``issue_time + e * epoch_slots`` for the
+        :meth:`epoch_count` epochs."""
+        epochs = self.epoch_count(epoch_slots, max_epochs)
         return self.issue_time + epoch_slots * np.arange(epochs, dtype=np.float64)
 
     def __repr__(self) -> str:

@@ -202,3 +202,13 @@ def make_error_model(
     raise BroadcastError(
         f"unknown error model {kind!r} (choose from {', '.join(ERROR_MODEL_KINDS)})"
     )
+
+
+def channel_label(kind: str, rate: float, mean_burst: float = 4.0) -> str:
+    """The report label of a run's channel: the repr of the error model
+    :func:`make_error_model` builds, or of :class:`PerfectChannel` at
+    rate 0.  Reports of the same channel carry the same label, so they
+    merge; a different rate or burst length keeps them apart."""
+    if rate > 0.0:
+        return repr(make_error_model(kind, rate, mean_burst))
+    return repr(PerfectChannel())

@@ -25,6 +25,32 @@ from repro.errors import BroadcastError
 PERCENTILES = (50, 95, 99)
 
 
+def reconcile_labels(
+    mine, theirs, names, mine_empty: bool, theirs_empty: bool, what: str,
+    error=BroadcastError,
+) -> Dict[str, str]:
+    """The labels a merge of reports *mine* and *theirs* carries.
+
+    Labels must agree unless one side is empty (placeholder labels), in
+    which case the non-empty side's labels win; any other mismatch
+    raises *error*.
+    """
+    labels: Dict[str, str] = {}
+    for name in names:
+        a, b = getattr(mine, name), getattr(theirs, name)
+        if a == b:
+            labels[name] = a
+        elif mine_empty:
+            labels[name] = b
+        elif theirs_empty:
+            labels[name] = a
+        else:
+            raise error(
+                f"cannot merge {what} with different {name}: {a!r} vs {b!r}"
+            )
+    return labels
+
+
 class SimulationReport:
     """Outcome of one simulated workload over an unreliable channel."""
 
@@ -175,20 +201,10 @@ class SimulationReport:
             raise BroadcastError(
                 f"cannot merge SimulationReport with {type(other).__name__}"
             )
-        labels: Dict[str, str] = {}
-        for name in ("index_kind", "policy", "error_model"):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            if mine == theirs:
-                labels[name] = mine
-            elif len(self) == 0:
-                labels[name] = theirs
-            elif len(other) == 0:
-                labels[name] = mine
-            else:
-                raise BroadcastError(
-                    f"cannot merge reports with different {name}: "
-                    f"{mine!r} vs {theirs!r}"
-                )
+        labels = reconcile_labels(
+            self, other, ("index_kind", "policy", "error_model"),
+            len(self) == 0, len(other) == 0, "reports",
+        )
         return SimulationReport(
             **labels,
             **{

@@ -498,7 +498,8 @@ class TestMultiChannelEndToEnd:
 
 
 class TestRunWorkloadUnification:
-    def test_positional_arguments_deprecated(self, voronoi60):
+    def test_positional_arguments_rejected(self, voronoi60):
+        # Keyword-only since 1.5; the positional form is gone since 2.0.
         paged, params = _paged("dtree", voronoi60)
         schedule = BroadcastSchedule(
             index_packet_count=len(paged.packets),
@@ -507,10 +508,8 @@ class TestRunWorkloadUnification:
         )
         client = BroadcastClient(paged, schedule)
         points = random_points_in(voronoi60, 5, seed=1)
-        with pytest.warns(DeprecationWarning, match="positional"):
-            legacy = client.run_workload(points, 13)
-        modern = client.run_workload(points, seed=13)
-        assert [_as_tuple(r) for r in legacy] == [_as_tuple(r) for r in modern]
+        with pytest.raises(TypeError):
+            client.run_workload(points, 13)
 
     def test_rng_injection_matches_seed(self, voronoi60):
         paged, params = _paged("dtree", voronoi60)

@@ -1,22 +1,15 @@
-"""The quarantined deprecation shims (repro._deprecated).
+"""Import hygiene and stream compatibility across the 2.0 clean-up.
 
-Importing the package must be warning-free; deprecated spellings warn
-only when used, and each keeps its historical behaviour bit for bit.
+Importing the package must be warning-free, and the kernel-backed
+rejection sampler must keep the historical random stream bit for bit.
 """
 
 import random
 import subprocess
 import sys
-import warnings
 
 import numpy as np
-import pytest
 
-from repro._deprecated import (
-    build_index,
-    coerce_positional_run_workload,
-    translate_legacy_cli,
-)
 from repro.datasets.catalog import uniform_dataset
 from repro.geometry.point import Point
 from repro.workload.generators import _point_in_polygon, zipf_region_workload
@@ -24,12 +17,11 @@ from repro.workload.generators import _point_in_polygon, zipf_region_workload
 
 class TestImportIsWarningFree:
     def test_importing_repro_emits_no_deprecation_warning(self):
-        """The whole point of the quarantine: every module imports clean
-        even under -W error::DeprecationWarning."""
+        """Every module imports clean even under
+        -W error::DeprecationWarning."""
         code = (
             "import repro, repro.cli, repro.experiments.runner, "
-            "repro.broadcast.client, repro.fleet, repro.mobility, "
-            "repro._deprecated"
+            "repro.broadcast.client, repro.fleet, repro.mobility"
         )
         proc = subprocess.run(
             [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
@@ -37,50 +29,6 @@ class TestImportIsWarningFree:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-
-
-class TestLegacyCli:
-    def test_legacy_target_translates_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="repro run figure10"):
-            argv = translate_legacy_cli(["figure10", "--scale", "quick"],
-                                        ("figure10", "all"))
-        assert argv == ["run", "figure10", "--scale", "quick"]
-
-    def test_modern_spelling_passes_through_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert translate_legacy_cli(["run", "figure10"], ("figure10",)) \
-                == ["run", "figure10"]
-            assert translate_legacy_cli([], ("figure10",)) == []
-
-
-class TestPositionalRunWorkload:
-    def test_positional_binding_order(self):
-        rng = random.Random(1)
-        with pytest.warns(DeprecationWarning, match="positional"):
-            seed, times, out_rng = coerce_positional_run_workload(
-                (13, [1.0, 2.0], rng), 0, None, None
-            )
-        assert seed == 13
-        assert times == [1.0, 2.0]
-        assert out_rng is rng
-
-    def test_partial_positionals_keep_keyword_defaults(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            seed, times, rng = coerce_positional_run_workload(
-                (5,), 0, [3.0], None
-            )
-        assert seed == 5
-        assert times == [3.0]
-        assert rng is None
-
-
-class TestBuildIndexShim:
-    def test_build_index_still_builds(self):
-        sub = uniform_dataset(n=12, seed=2).subdivision
-        with pytest.warns(DeprecationWarning, match="build_index is deprecated"):
-            index = build_index("dtree", sub)
-        assert index is not None
 
 
 class TestRejectionSamplerStreamCompat:

@@ -8,7 +8,6 @@ the reduced :class:`MetricsSummary` alike — for all four index families.
 """
 
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -292,34 +291,6 @@ class TestRegistryExtension:
             assert cell.metrics.queries == 30
         finally:
             INDEX_REGISTRY.pop("toygrid", None)
-
-
-class TestDeprecatedShims:
-    def test_build_index_warns_and_still_works(self, grid4x4):
-        from repro.experiments.runner import build_index
-
-        with pytest.warns(DeprecationWarning, match="build_index is deprecated"):
-            tree = build_index("dtree", grid4x4, seed=1)
-        assert tree.locate(Point(0.1, 0.1)) in set(grid4x4.region_ids)
-
-    def test_page_index_warns_and_still_works(self, grid4x4):
-        from repro.experiments.runner import build_index, page_index
-
-        params = index_family("dtree").parameters(256)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            tree = build_index("dtree", grid4x4)
-        with pytest.warns(DeprecationWarning, match="page_index is deprecated"):
-            paged = page_index("dtree", tree, params)
-        assert len(paged.packets) >= 1
-
-    def test_page_index_accepts_raw_subdivision_for_rstar(self, grid4x4):
-        from repro.experiments.runner import page_index
-
-        params = index_family("rstar").parameters(256)
-        with pytest.warns(DeprecationWarning):
-            paged = page_index("rstar", grid4x4, params)
-        assert len(paged.packets) >= 1
 
 
 class TestLazyTopLevelExports:

@@ -4,7 +4,10 @@ profile merging.  The single-process runner is the oracle every
 multi-process configuration is compared against."""
 
 import math
+import os
 import pickle
+import signal
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -316,3 +319,53 @@ class TestRunFleetEndToEnd:
         assert report.elapsed_seconds is not None
         s = report.summary()
         assert s["latency_mean"] > 0 and s["energy_j_mean"] > 0
+
+
+class _WorkerKillingWorkload(UniformFleetWorkload):
+    """Chunks of the usual stream, except that the chunk starting at
+    ``kill_start`` SIGKILLs the process evaluating it."""
+
+    kill_start = 100
+
+    def chunk(self, start, size):
+        if start == self.kill_start:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().chunk(start, size)
+
+
+class TestKilledWorker:
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_killed_worker_fails_the_run_and_unlinks_the_arena(
+        self, fleet_world, monkeypatch
+    ):
+        spec = _spec(fleet_world)
+        spec.workload = _WorkerKillingWorkload(
+            SERVICE_AREA, spec.schedule.cycle_length, seed=9
+        )
+        created = []
+        create = ShmArena.create
+
+        def recording_create(arrays):
+            arena = create(arrays)
+            created.append(arena.shm.name)
+            return arena
+
+        monkeypatch.setattr(ShmArena, "create", recording_create)
+
+        def hung(signum, frame):
+            raise TimeoutError("fleet run hung on a killed worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ReproError, match="worker died"):
+                FleetRunner(
+                    spec, chunk_size=100, workers=2, start_method="fork"
+                ).run(400)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(created) == 1
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=created[0])
+

@@ -1,19 +1,18 @@
-"""End-to-end parity of the kernel tracers with the scalar/PR 1 paths.
+"""End-to-end parity of the kernel tracers with the scalar path.
 
 The vectorized kernel layer must be invisible in the results: for every
 index family, :func:`repro.engine.batched_trace` has to agree element
-for element with the per-point ``paged.trace`` fallback, and
-:func:`repro.engine.evaluate_workload` has to reproduce the PR 1
-batched path (reference tracers + per-query ``rng.uniform`` issue-time
-draws) array-exact.  All four families have dedicated kernel tracers;
-adversarial boundary points (region vertices, edge midpoints) ride
-along everywhere.  For the trap/trian families the scalar paths can
-legitimately *reject* a boundary vertex (``QueryError``) — those points
-are filtered out of the parity batches and asserted separately to raise
-identical errors through the batched path.
+for element with the per-point ``paged.trace`` path — the one oracle —
+and :func:`repro.engine.evaluate_workload` has to reproduce the scalar
+tracer plus per-query ``rng.uniform`` issue-time draws array-exact.
+All four families have dedicated kernel tracers; adversarial boundary
+points (region vertices, edge midpoints) ride along everywhere.  For
+the trap/trian families the scalar paths can legitimately *reject* a
+boundary vertex (``QueryError``) — those points are filtered out of the
+parity batches and asserted separately to raise identical errors
+through the batched path.
 """
 
-import copy
 import random
 
 import numpy as np
@@ -21,24 +20,16 @@ import pytest
 
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.core.paging import PagedDTree
-from repro.engine import (
-    batched_trace,
-    evaluate_workload,
-    index_family,
-    register_tracer,
-)
+from repro.engine import batched_trace, evaluate_workload, index_family
 from repro.engine.batch import QueryEngine, _uniform_issue_times
 from repro.engine.trace import (
-    _trace_batch_dtree_reference,
+    _trace_batch_dtree,
     _trace_batch_generic,
-    _trace_batch_rstar_reference,
-    _trace_batch_trap_reference,
-    _trace_batch_trian_reference,
+    _trace_batch_rstar,
+    _trace_batch_trap,
+    _trace_batch_trian,
 )
 from repro.errors import QueryError
-from repro.pointloc.kirkpatrick import PagedTrianTree
-from repro.pointloc.trapezoidal import PagedTrapTree
-from repro.rstar.paged import PagedRStarTree
 
 from tests.conftest import random_points_in
 from tests.test_geometry_kernels import adversarial_points
@@ -49,41 +40,22 @@ KERNEL_KINDS = ALL_KINDS  # every family has a dedicated kernel tracer
 REJECTING_KINDS = ("trap", "trian")
 DATASETS = ("voronoi60", "grid4x4")
 
-
-class _ReferencePagedDTree(PagedDTree):
-    """Dispatches to the PR 1 pure-Python D-tree tracer."""
-
-
-class _ReferencePagedRStarTree(PagedRStarTree):
-    """Dispatches to the PR 1 pure-Python R*-tree tracer."""
-
-
-class _ReferencePagedTrapTree(PagedTrapTree):
-    """Dispatches to the per-point trap-tree reference tracer."""
-
-
-class _ReferencePagedTrianTree(PagedTrianTree):
-    """Dispatches to the per-point trian-tree reference tracer."""
-
-
-register_tracer(_ReferencePagedDTree, _trace_batch_dtree_reference)
-register_tracer(_ReferencePagedRStarTree, _trace_batch_rstar_reference)
-register_tracer(_ReferencePagedTrapTree, _trace_batch_trap_reference)
-register_tracer(_ReferencePagedTrianTree, _trace_batch_trian_reference)
-
-_REFERENCE_CLASS = {
-    "dtree": _ReferencePagedDTree,
-    "rstar": _ReferencePagedRStarTree,
-    "trap": _ReferencePagedTrapTree,
-    "trian": _ReferencePagedTrianTree,
+_KERNEL_TRACER = {
+    "dtree": _trace_batch_dtree,
+    "rstar": _trace_batch_rstar,
+    "trap": _trace_batch_trap,
+    "trian": _trace_batch_trian,
 }
 
 
-def _as_reference(paged, kind):
-    """A shallow re-classed view dispatching to the PR 1 tracer."""
-    reference = copy.copy(paged)
-    reference.__class__ = _REFERENCE_CLASS[kind]
-    return reference
+class _ScalarView:
+    """A paged index seen through the ``PagedIndex`` protocol only: no
+    tracer is registered for it, so the engine traces it point by point
+    with the scalar ``paged.trace``."""
+
+    def __init__(self, paged):
+        self.packets = paged.packets
+        self.trace = paged.trace
 
 
 @pytest.fixture(scope="module", params=DATASETS)
@@ -144,12 +116,14 @@ class TestTracerParity:
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_kernel_tracer_matches_reference_tracer(self, dataset, cells, kind):
+        """The family's kernel tracer, called directly, against the
+        scalar reference."""
         _, subdivision = dataset
         paged, _ = cells[kind]
         points = _query_points(subdivision, kind, paged)
         _assert_traces_equal(
-            batched_trace(paged, points),
-            batched_trace(_as_reference(paged, kind), points),
+            _KERNEL_TRACER[kind](paged, points),
+            _trace_batch_generic(paged, points),
         )
 
 
@@ -168,14 +142,13 @@ class TestDTreePagingVariants:
         points = _query_points(voronoi60, "dtree", n=150, seed=17)
         got = batched_trace(paged, points)
         _assert_traces_equal(got, _trace_batch_generic(paged, points))
-        _assert_traces_equal(got, _trace_batch_dtree_reference(paged, points))
 
 
 class TestWorkloadParity:
-    """evaluate_workload vs the PR 1 batched path, array-exact."""
+    """evaluate_workload vs the scalar path, array-exact."""
 
     def _reference_evaluate(self, paged, region_ids, params, points, seed):
-        """Reference tracer + per-query ``rng.uniform`` issue draws."""
+        """Scalar tracer + per-query ``rng.uniform`` issue draws."""
         schedule = BroadcastSchedule(
             index_packet_count=len(paged.packets),
             region_ids=list(region_ids),
@@ -191,7 +164,7 @@ class TestWorkloadParity:
         _, subdivision = dataset
         paged, params = cells[kind]
         points = _query_points(subdivision, kind, paged)
-        reference_paged = _as_reference(paged, kind)
+        reference_paged = _ScalarView(paged)
         got = evaluate_workload(
             paged, subdivision.region_ids, params, points, seed=3
         )

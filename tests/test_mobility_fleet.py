@@ -11,6 +11,7 @@ from repro.broadcast.schedule import BroadcastSchedule
 from repro.datasets.catalog import uniform_dataset
 from repro.engine import index_family
 from repro.errors import ReproError
+from repro.experiments.runner import run_mobility_cell
 from repro.fleet import FleetRunner, FleetSpec, run_fleet
 from repro.fleet.report import FleetReport
 from repro.mobility import (
@@ -267,3 +268,45 @@ class TestRunFleetMobility:
         )
         assert report.clients == 200
         assert report.distance_km > 0.0
+
+
+class TestChannelLabel:
+    """The cell runner and the fleet runner label a channel the same way,
+    so their reports of one channel merge, and a different burst length
+    is a different channel."""
+
+    def _reports(self, mean_burst):
+        dataset = uniform_dataset(n=40, seed=3)
+        channel = dict(
+            error_rate=0.02, error_model="gilbert", mean_burst=mean_burst
+        )
+        cell = run_mobility_cell(dataset, "dtree", 256, 6, 3, **channel)
+        fleet = run_fleet(
+            6, mode="mobility", dataset=dataset, seed=3, chunk_size=6,
+            keep_answers=False, **channel,
+        )
+        return cell, fleet
+
+    def test_same_channel_reports_merge(self):
+        cell, fleet = self._reports(mean_burst=4.0)
+        assert cell.error_model == fleet.error_model
+        assert cell.error_model.startswith("GilbertElliott(")
+        cell.merge(fleet)
+        assert cell.clients == 12
+
+    def test_burst_mismatch_is_rejected(self):
+        cell4, fleet4 = self._reports(mean_burst=4.0)
+        cell8, fleet8 = self._reports(mean_burst=8.0)
+        assert cell4.error_model != cell8.error_model
+        with pytest.raises(ReproError, match="different error_model"):
+            cell4.merge(fleet8)
+        with pytest.raises(ReproError, match="different error_model"):
+            fleet4.merge(fleet8)
+
+    def test_perfect_channel_label(self):
+        dataset = uniform_dataset(n=40, seed=3)
+        cell = run_mobility_cell(dataset, "dtree", 256, 3, 3)
+        fleet = run_fleet(
+            3, mode="mobility", dataset=dataset, seed=3, keep_answers=False
+        )
+        assert cell.error_model == fleet.error_model == "PerfectChannel()"
