@@ -5,10 +5,10 @@ benchmark suite:
 
 * ``CompiledSubdivision.locate_batch`` >= 10x a per-point
   ``Subdivision.locate`` loop at 10_000 points;
-* the compiled D-tree, trap and trian tracers each make end-to-end
-  :func:`~repro.engine.evaluate_workload` >= 4x the per-point scalar
-  path (the generic fallback over ``paged.trace``, the one oracle) at
-  10_000 queries, with array-exact answers.
+* the compiled D-tree, R*-tree, trap and trian tracers each make
+  end-to-end :func:`~repro.engine.evaluate_workload` >= 4x the
+  per-point scalar path (the generic fallback over ``paged.trace``,
+  the one oracle) at 10_000 queries, with array-exact answers.
 
 Timing-key convention in ``BENCH_kernels.json``: every entry under
 ``cases`` is a median in milliseconds (keys that feed a speedup
@@ -38,7 +38,7 @@ from _recorder import record_case, record_ratio, run_recorded
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 POINT_SIZES = (1_000,) if SMOKE else (1_000, 10_000)
-KERNEL_KINDS = ("dtree", "trap", "trian")
+KERNEL_KINDS = ("dtree", "rstar", "trap", "trian")
 
 
 class _ScalarView:
@@ -65,6 +65,11 @@ def _build_cell(subdivision, kind):
 @pytest.fixture(scope="module")
 def dtree_cell(subdivision):
     return _build_cell(subdivision, "dtree")
+
+
+@pytest.fixture(scope="module")
+def rstar_cell(subdivision):
+    return _build_cell(subdivision, "rstar")
 
 
 @pytest.fixture(scope="module")

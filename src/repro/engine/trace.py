@@ -14,12 +14,14 @@ guaranteeing results identical to the per-query path:
   arrays once per paged tree and cached, and queries that follow the
   same packet path share one interned *prefix*, so the per-query Python
   bookkeeping of the scalar path disappears entirely.
-* **R*-tree** — batched DFS over a compiled node layout: MBR
-  containment runs as one structure-of-arrays matrix test per node
-  (:func:`~repro.geometry.kernels.mbrs_contain_batch`) and the exact
-  leaf test uses the region's cached
-  :class:`~repro.geometry.kernels.CompiledPolygon`, whose boundary
-  semantics equal the scalar predicate bit for bit.
+* **R*-tree** — level-synchronous pair expansion over the tree
+  compiled to preorder arrays (:class:`_CompiledRStarTree`): each level
+  gates every (query, entry) pair of the frontier by its closed MBR at
+  once, the leaf candidates go through one ragged closed-polygon pass
+  (:func:`~repro.geometry.kernels.classify_pairs`, the kernel of
+  :class:`~repro.geometry.kernels.CompiledSubdivision`), and each
+  query's answer is its lowest-DFS-rank hit, charging only the events
+  ranked at or before it per §4.4.
 * **trap-tree** — flat-frontier descent over the trapezoidal-map DAG
   compiled to packed structure-of-arrays form
   (:class:`_CompiledTrapTree`): x-node comparisons and y-node
@@ -55,11 +57,12 @@ import numpy as np
 from repro.errors import BroadcastError, QueryError
 from repro.obs import active_collector
 from repro.broadcast.access import check_forward as _check_forward
-from repro.broadcast.packets import PagedIndex, dedupe_consecutive
+from repro.broadcast.packets import PagedIndex
 from repro.geometry.kernels import (
+    EDGE_POOL_FIELDS,
     CompiledPartition,
+    classify_pairs,
     cross_batch,
-    mbrs_contain_batch,
     point_coords,
 )
 from repro.geometry.predicates import EPS
@@ -489,127 +492,254 @@ def _trace_batch_dtree(paged, points: Sequence[Point]) -> TraceBatch:
     return TraceBatch(regions, last_out, tuning_out)
 
 
-# -- R*-tree: batched DFS over compiled nodes -------------------------------
+# -- R*-tree: level-synchronous pair expansion over preorder arrays ----------
 
 
-class _CompiledRStarNode:
-    """One R*-tree node flattened for the batched DFS."""
+class _CompiledRStarTree:
+    """The paged R*-tree flattened to preorder structure-of-arrays form.
+
+    Nodes sit in the DFS preorder of the paging walk (root at 0); node
+    ``i`` owns the entry slice ``entry_start[i] : entry_start[i] +
+    entry_count[i]``.  Per entry: the MBR and a child code — the
+    child's node index, or ``~pos`` for a leaf entry pointing at
+    position ``pos`` of the subdivision's scan order.
+
+    The scalar search reads in DFS order: a node's packet, then per
+    entry either the child subtree or a leaf entry's shape span.  Each
+    such read event has a DFS rank (``node_rank``, and ``entry_rank``
+    for leaf entries, ``-1`` otherwise), and the ``event_*`` tables,
+    indexed by rank, hold its packet span as first/last/distinct-count
+    constants plus a backwards flag, and a leaf entry's region id
+    (``-1`` for a node).  The ``bb_*`` polygon bboxes and the
+    :data:`EDGE_POOL_FIELDS` arrays are the subdivision's compiled form,
+    indexed by scan position.
+    """
 
     __slots__ = (
-        "packet",
+        "node_rank",
+        "entry_start",
+        "entry_count",
         "min_x",
         "min_y",
         "max_x",
         "max_y",
-        "is_leaf",
-        "children",
-        "region_ids",
-        "shape_packets",
-        "polygons",
-    )
+        "code",
+        "entry_rank",
+        "event_first",
+        "event_last",
+        "event_distinct",
+        "event_bad",
+        "event_region",
+        "bb_min_x",
+        "bb_min_y",
+        "bb_max_x",
+        "bb_max_y",
+    ) + EDGE_POOL_FIELDS
 
 
-def _compile_rstar(paged) -> "_CompiledRStarNode":
-    """Compile the paged R*-tree (node MBR arrays, shape-packet tuples,
-    compiled leaf polygons), built once and cached on the paged tree."""
+def _compile_rstar(paged) -> _CompiledRStarTree:
+    """Compile the paged R*-tree, built once per paged tree and cached."""
     compiled = _cached_compiled(paged, "_compiled_rstar", None)
     if compiled is not None:
         return compiled
-    subdivision = paged.tree.subdivision
+    csub = paged.tree.subdivision.compiled()
+    scan_pos = {rid: i for i, rid in enumerate(csub.region_ids.tolist())}
+    nodes = paged._nodes_preorder()
+    index = {id(node): i for i, node in enumerate(nodes)}
+    count = len(nodes)
 
-    def convert(node) -> _CompiledRStarNode:
-        cn = _CompiledRStarNode()
-        cn.packet = paged._node_packet[id(node)]
-        entries = node.entries
-        count = len(entries)
-        cn.min_x = np.fromiter((e.mbr.min_x for e in entries), np.float64, count)
-        cn.min_y = np.fromiter((e.mbr.min_y for e in entries), np.float64, count)
-        cn.max_x = np.fromiter((e.mbr.max_x for e in entries), np.float64, count)
-        cn.max_y = np.fromiter((e.mbr.max_y for e in entries), np.float64, count)
-        cn.is_leaf = node.is_leaf
-        if node.is_leaf:
-            cn.children = None
-            cn.region_ids = [e.region_id for e in entries]
-            cn.shape_packets = [
-                tuple(paged._shape_packets[e.region_id]) for e in entries
-            ]
-            cn.polygons = [
-                subdivision.region(e.region_id).polygon.compiled()
-                for e in entries
-            ]
-        else:
-            cn.children = [convert(e.child) for e in entries]
-            cn.region_ids = None
-            cn.shape_packets = None
-            cn.polygons = None
-        return cn
+    ct = _CompiledRStarTree()
+    ct.node_rank = np.empty(count, np.int64)
+    ct.entry_start = np.empty(count, np.int64)
+    ct.entry_count = np.empty(count, np.int64)
+    rects: List[tuple] = []
+    code: List[int] = []
+    entry_rank: List[int] = []
+    # Per rank: (first packet, last packet, distinct, backwards, region).
+    events: List[tuple] = []
+    for i, node in enumerate(nodes):
+        packet = paged._node_packet[id(node)]
+        ct.node_rank[i] = len(events)
+        events.append((packet, packet, 1, False, -1))
+        ct.entry_start[i] = len(code)
+        ct.entry_count[i] = len(node.entries)
+        for entry in node.entries:
+            mbr = entry.mbr
+            rects.append((mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y))
+            if node.is_leaf:
+                code.append(~scan_pos[entry.region_id])
+                entry_rank.append(len(events))
+                packets = paged._shape_packets[entry.region_id]
+                events.append((
+                    packets[0],
+                    packets[-1],
+                    len(set(packets)),
+                    any(b < a for a, b in zip(packets, packets[1:])),
+                    entry.region_id,
+                ))
+            else:
+                code.append(index[id(entry.child)])
+                entry_rank.append(-1)
 
-    compiled = convert(paged.tree.root)
-    _store_compiled(paged, "_compiled_rstar", compiled)
-    return compiled
+    rect_arr = np.array(rects, np.float64).reshape(-1, 4)
+    ct.min_x, ct.min_y, ct.max_x, ct.max_y = (
+        np.ascontiguousarray(col) for col in rect_arr.T
+    )
+    ct.code = np.array(code, np.int64)
+    ct.entry_rank = np.array(entry_rank, np.int64)
+    event_arr = np.array(events, np.int64).reshape(-1, 5)
+    ct.event_first = np.ascontiguousarray(event_arr[:, 0])
+    ct.event_last = np.ascontiguousarray(event_arr[:, 1])
+    ct.event_distinct = np.ascontiguousarray(event_arr[:, 2])
+    ct.event_bad = event_arr[:, 3].astype(bool)
+    ct.event_region = np.ascontiguousarray(event_arr[:, 4])
+    ct.bb_min_x = csub.bb_min_x
+    ct.bb_min_y = csub.bb_min_y
+    ct.bb_max_x = csub.bb_max_x
+    ct.bb_max_y = csub.bb_max_y
+    for field in EDGE_POOL_FIELDS:
+        setattr(ct, field, getattr(csub, field))
+    _store_compiled(paged, "_compiled_rstar", ct)
+    return ct
 
 
 def _trace_batch_rstar(paged, points: Sequence[Point]) -> TraceBatch:
-    """Batched DFS over the compiled paged R*-tree.
+    """Level-synchronous traversal of the paged R*-tree.
 
-    Point-in-MBR tests run as one structure-of-arrays matrix per node;
-    the exact polygon containment at the leaves (boundary semantics
-    included) uses the compiled polygon kernel on the few surviving
-    candidates.
+    Every level expands the frontier's (query, node) pairs into
+    (query, entry) pairs and applies the closed MBR gate to all of them
+    at once; internal survivors form the next frontier, leaf survivors
+    are the candidate pairs, tested by one ragged closed-polygon pass
+    (:func:`~repro.geometry.kernels.classify_pairs` behind the polygon
+    bbox gate).  The traversal reaches every event the scalar DFS could
+    read, each encoded as one sortable ``(query, rank, hit)`` key.  The
+    scalar search stops at its first containing polygon, so a query's
+    answer is its lowest-rank hit and it reads exactly the run of its
+    events up to that hit.  Charging follows the D-tree rule: in rank
+    order, each event costs its distinct packets minus one when its
+    first packet repeats the previous event's last.  A backwards packet
+    span, or a query no polygon contains, re-runs the scalar path to
+    raise its exact error.
     """
     n = len(points)
+    if n == 0:
+        empty = np.zeros(0, np.int64)
+        return TraceBatch(empty, empty.copy(), empty.copy())
     xs, ys = point_coords(points)
-    root = _compile_rstar(paged)
+    ct = _compile_rstar(paged)
     col = active_collector()
-    regions = np.full(n, -1, np.int64)
-    accesses: List[List[int]] = [[] for _ in range(n)]
+    ranks = len(ct.event_first)
 
-    def search(cn: _CompiledRStarNode, idxs: np.ndarray) -> None:
+    # The closed MBR gate tests the x interval of every (query, entry)
+    # pair and the y interval of the survivors only.  At the root every
+    # query faces the same entries: one dense broadcast compare.
+    lo = ct.entry_start[0]
+    hi = lo + ct.entry_count[0]
+    entry, q = np.nonzero(
+        (ct.min_x[lo:hi, None] <= xs) & (xs <= ct.max_x[lo:hi, None])
+    )
+    e = entry + lo
+    fq = np.arange(n, dtype=np.int64)  # frontier query
+    fn = np.zeros(n, np.int64)  # frontier node (root = 0)
+    node_keys: List[np.ndarray] = []  # (query * ranks + rank), per level
+    leaf_q: List[np.ndarray] = []
+    leaf_e: List[np.ndarray] = []
+    while True:
         if col is not None:
-            col.count("trace.rstar.nodes_visited")
-            col.observe("trace.rstar.node_batch", idxs.size)
-        packet = cn.packet
-        for i in idxs.tolist():
-            accesses[i].append(packet)
-        inside = mbrs_contain_batch(
-            cn.min_x, cn.min_y, cn.max_x, cn.max_y, xs[idxs], ys[idxs]
+            col.count("trace.rstar.levels")
+            col.observe("trace.rstar.frontier_width", fq.size)
+        node_keys.append(fq * ranks + ct.node_rank[fn])
+        py = ys[q]
+        inside = np.flatnonzero((ct.min_y[e] <= py) & (py <= ct.max_y[e]))
+        e = e[inside]
+        q = q[inside]
+        code = ct.code[e]
+        leaf = code < 0
+        leaf_q.append(q[leaf])
+        leaf_e.append(e[leaf])
+        internal = ~leaf
+        fq = q[internal]
+        fn = code[internal]
+        if not fq.size:
+            break
+        # Expand the next frontier's (query, node) pairs ragged.
+        counts = ct.entry_count[fn]
+        offsets = np.cumsum(counts)
+        e = np.repeat(ct.entry_start[fn] - offsets + counts, counts) + np.arange(
+            int(offsets[-1]), dtype=np.int64
         )
-        unresolved = np.ones(idxs.size, bool)
-        for entry in range(inside.shape[0]):
-            if not unresolved.any():
-                break
-            local = np.flatnonzero(inside[entry] & unresolved)
-            if local.size == 0:
-                continue
-            candidates = idxs[local]
-            if cn.is_leaf:
-                shape_packets = cn.shape_packets[entry]
-                for qi in candidates.tolist():
-                    accesses[qi].extend(shape_packets)
-                hits = cn.polygons[entry].contains_batch(
-                    xs[candidates], ys[candidates]
-                )
-                regions[candidates[hits]] = cn.region_ids[entry]
-                unresolved[local[hits]] = False
-            else:
-                search(cn.children[entry], candidates)
-                unresolved[local] = regions[candidates] < 0
+        px = np.repeat(xs[fq], counts)
+        inside = np.flatnonzero((ct.min_x[e] <= px) & (px <= ct.max_x[e]))
+        e = e[inside]
+        q = np.repeat(fq, counts)[inside]
 
-    search(root, np.arange(n))
-    if (regions < 0).any():
-        missing = int(np.argmax(regions < 0))
-        raise QueryError(
-            f"{points[missing]!r} not found in the paged R*-tree"
+    cq = np.concatenate(leaf_q)
+    ce = np.concatenate(leaf_e)
+    if col is not None:
+        col.observe("trace.rstar.candidate_pairs", cq.size)
+    pos = ~ct.code[ce]
+    px = xs[cq]
+    py = ys[cq]
+    gated = np.flatnonzero(
+        (ct.bb_min_x[pos] <= px)
+        & (px <= ct.bb_max_x[pos])
+        & (ct.bb_min_y[pos] <= py)
+        & (py <= ct.bb_max_y[pos])
+    )
+    hit = np.zeros(cq.size, np.int64)
+    if gated.size:
+        on_edge, odd = classify_pairs(ct, xs, ys, pos[gated], cq[gated])
+        hit[gated] = on_edge | odd
+
+    # Every read event as one key, sorted into (query, rank) order.
+    node_keys.append(cq * ranks + ct.entry_rank[ce])
+    events = np.concatenate(node_keys) << 1
+    events[events.size - cq.size :] |= hit
+    events.sort()
+    ev_hit = (events & 1).astype(bool)
+    ev_q, ev_rank = np.divmod(events >> 1, ranks)
+
+    # Each query's answer: its first hit.  Every query owns a non-empty
+    # run of events (the root visit) starting at ``starts``.
+    hit_at = np.flatnonzero(ev_hit)
+    hit_q = ev_q[hit_at]
+    lead = np.ones(hit_at.size, bool)
+    lead[1:] = hit_q[1:] != hit_q[:-1]
+    answer = hit_at[lead]
+    if answer.size != n:
+        # No containing polygon: the scalar path raises its QueryError
+        # for the earliest failing point.
+        _trace_batch_generic(paged, points)
+        raise QueryError("R*-tree search failed")  # pragma: no cover
+    counts = np.bincount(ev_q, minlength=n)
+    starts = np.cumsum(counts) - counts
+
+    # §4.4 charging in rank order (the D-tree rule), summed over each
+    # query's run starts..answer.
+    first = ct.event_first[ev_rank]
+    last = ct.event_last[ev_rank]
+    same = ev_q[1:] == ev_q[:-1]
+    backwards = ct.event_bad[ev_rank]
+    backwards[1:] |= same & (first[1:] < last[:-1])
+    charge = ct.event_distinct[ev_rank]
+    charge[1:] -= same & (first[1:] == last[:-1])
+
+    def run_sums(values: np.ndarray) -> np.ndarray:
+        total = np.cumsum(values)
+        return total[answer] - total[starts] + values[starts]
+
+    if run_sums(backwards).any():
+        # Backwards broadcast order: the scalar path raises the
+        # client's error for the earliest offending point.
+        _trace_batch_generic(paged, points)
+        raise BroadcastError(
+            "index traversal moved backwards on the broadcast channel"
         )
-
-    last = np.empty(n, np.int64)
-    tuning = np.empty(n, np.int64)
-    for i, raw in enumerate(accesses):
-        accessed = dedupe_consecutive(raw)
-        _check_forward(accessed)
-        last[i] = accessed[-1] if accessed else 0
-        tuning[i] = len(set(accessed))
-    return TraceBatch(regions, last, tuning)
+    return TraceBatch(
+        ct.event_region[ev_rank[answer]],
+        last[answer],
+        run_sums(charge),
+    )
 
 
 # -- trap-tree: flat-frontier descent over the packed DAG --------------------

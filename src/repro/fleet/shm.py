@@ -9,16 +9,15 @@ and hands workers a *manifest* — ``name -> (offset, dtype, shape)`` —
 from which each worker reconstructs numpy views into the very same
 pages.  No per-worker copy, no per-worker recompilation, O(1) attach.
 
-Three groups of arrays travel through the arena:
+Five groups of arrays travel through the arena:
 
 * ``dtree.*`` — every array slot of
   :class:`~repro.engine.trace._CompiledDTree` (the scalar ``root`` rides
   in the meta dict);
-* ``rstar.*`` — the per-entry MBR arrays of all
-  :class:`~repro.engine.trace._CompiledRStarNode` nodes pooled in DFS
-  preorder (node structure, packet ids and leaf payloads ride in the
-  meta dict; leaf polygons are recompiled per worker from the pickled
-  subdivision — they are small and their compiled form caches itself);
+* ``rstar.*`` — every array slot of
+  :class:`~repro.engine.trace._CompiledRStarTree` (the preorder node
+  and entry arrays plus the subdivision's bbox and edge-pool arrays the
+  leaf test reads, so nothing rides in the meta dict);
 * ``trap.*`` — every array slot of
   :class:`~repro.engine.trace._CompiledTrapTree` (the flattened
   trapezoidal-map DAG is pure SoA, nothing rides in the meta dict);
@@ -38,14 +37,14 @@ trace through the per-point reference path.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.engine.trace import (
     _CompiledDTree,
-    _CompiledRStarNode,
+    _CompiledRStarTree,
     _CompiledTrapTree,
     _CompiledTrianTree,
     _compile_dtree,
@@ -66,10 +65,14 @@ Manifest = Dict[str, ManifestEntry]
 #: except the scalar ``root``).
 _DTREE_SLOTS = tuple(s for s in _CompiledDTree.__slots__ if s != "root")
 
-#: Array slots of the compiled trap/trian trees — pure SoA, every slot
-#: is an ndarray, so the whole compiled object ships through the arena.
-_TRAP_SLOTS = tuple(_CompiledTrapTree.__slots__)
-_TRIAN_SLOTS = tuple(_CompiledTrianTree.__slots__)
+#: Family -> (compiled class, cache attribute) of the compiled
+#: R*-tree/trap/trian trees — pure SoA, every slot is an ndarray, so the
+#: whole compiled object ships through the arena.
+_SOA_FAMILIES = {
+    "rstar": (_CompiledRStarTree, "_compiled_rstar"),
+    "trap": (_CompiledTrapTree, "_compiled_trap"),
+    "trian": (_CompiledTrianTree, "_compiled_trian"),
+}
 
 
 def _align(offset: int) -> int:
@@ -154,68 +157,6 @@ class ShmArena:
 # -- compiled-state export / attach ------------------------------------------
 
 
-def _export_rstar(root: _CompiledRStarNode) -> Tuple[Dict[str, np.ndarray], dict]:
-    """Pool the compiled R*-tree's MBR arrays in DFS preorder."""
-    nodes: List[_CompiledRStarNode] = []
-
-    def walk(cn: _CompiledRStarNode) -> None:
-        nodes.append(cn)
-        if not cn.is_leaf:
-            for child in cn.children:
-                walk(child)
-
-    walk(root)
-    counts = [len(cn.min_x) for cn in nodes]
-    arrays = {
-        f"rstar.{field}": np.concatenate([getattr(cn, field) for cn in nodes])
-        for field in ("min_x", "min_y", "max_x", "max_y")
-    }
-    meta = {
-        "entry_counts": counts,
-        "is_leaf": [cn.is_leaf for cn in nodes],
-        "packets": [cn.packet for cn in nodes],
-        "leaf_regions": [cn.region_ids if cn.is_leaf else None for cn in nodes],
-        "leaf_shapes": [
-            cn.shape_packets if cn.is_leaf else None for cn in nodes
-        ],
-    }
-    return arrays, meta
-
-
-def _attach_rstar(paged, views: Dict[str, np.ndarray], meta: dict) -> None:
-    """Rebuild the compiled R*-tree node graph over shared MBR views."""
-    subdivision = paged.tree.subdivision
-    counts = meta["entry_counts"]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    cursor = [0]  # preorder index of the next node to materialize
-
-    def build() -> _CompiledRStarNode:
-        i = cursor[0]
-        cursor[0] += 1
-        cn = _CompiledRStarNode()
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        for field in ("min_x", "min_y", "max_x", "max_y"):
-            setattr(cn, field, views[f"rstar.{field}"][lo:hi])
-        cn.packet = meta["packets"][i]
-        cn.is_leaf = meta["is_leaf"][i]
-        if cn.is_leaf:
-            cn.children = None
-            cn.region_ids = meta["leaf_regions"][i]
-            cn.shape_packets = meta["leaf_shapes"][i]
-            cn.polygons = [
-                subdivision.region(rid).polygon.compiled()
-                for rid in cn.region_ids
-            ]
-        else:
-            cn.children = [build() for _ in range(hi - lo)]
-            cn.region_ids = None
-            cn.shape_packets = None
-            cn.polygons = None
-        return cn
-
-    _store_compiled(paged, "_compiled_rstar", build())
-
-
 def export_compiled_state(paged, engine) -> Tuple[Dict[str, np.ndarray], dict]:
     """Arrays + meta describing *paged*'s compiled form and *engine*'s
     memoized schedule arrays, ready for :meth:`ShmArena.create`."""
@@ -231,22 +172,19 @@ def export_compiled_state(paged, engine) -> Tuple[Dict[str, np.ndarray], dict]:
         meta = {"family": "dtree", "root": int(ct.root)}
         for slot in _DTREE_SLOTS:
             arrays[f"dtree.{slot}"] = getattr(ct, slot)
-    elif isinstance(paged, PagedRStarTree):
-        rstar_arrays, rstar_meta = _export_rstar(_compile_rstar(paged))
-        arrays.update(rstar_arrays)
-        meta = {"family": "rstar", **rstar_meta}
-    elif isinstance(paged, PagedTrapTree):
-        ct = _compile_trap(paged)
-        if ct is not None:
-            meta = {"family": "trap"}
-            for slot in _TRAP_SLOTS:
-                arrays[f"trap.{slot}"] = getattr(ct, slot)
-    elif isinstance(paged, PagedTrianTree):
-        ct = _compile_trian(paged)
-        if ct is not None:
-            meta = {"family": "trian"}
-            for slot in _TRIAN_SLOTS:
-                arrays[f"trian.{slot}"] = getattr(ct, slot)
+    else:
+        for family, paged_cls, compile_fn in (
+            ("rstar", PagedRStarTree, _compile_rstar),
+            ("trap", PagedTrapTree, _compile_trap),
+            ("trian", PagedTrianTree, _compile_trian),
+        ):
+            if isinstance(paged, paged_cls):
+                ct = compile_fn(paged)
+                if ct is not None:
+                    meta = {"family": family}
+                    for slot in _SOA_FAMILIES[family][0].__slots__:
+                        arrays[f"{family}.{slot}"] = getattr(ct, slot)
+                break
     if getattr(engine, "_vectorized", False):
         arrays["schedule.segment_starts"] = engine._segment_starts
         arrays["schedule.bucket_position"] = engine._bucket_position
@@ -286,18 +224,12 @@ def attach_compiled_state(
         for slot in _DTREE_SLOTS:
             setattr(ct, slot, views[f"dtree.{slot}"])
         _store_compiled(paged, "_compiled_dtree", ct)
-    elif family == "rstar":
-        _attach_rstar(paged, views, meta)
-    elif family == "trap":
-        ct = _CompiledTrapTree()
-        for slot in _TRAP_SLOTS:
-            setattr(ct, slot, views[f"trap.{slot}"])
-        _store_compiled(paged, "_compiled_trap", ct)
-    elif family == "trian":
-        ct = _CompiledTrianTree()
-        for slot in _TRIAN_SLOTS:
-            setattr(ct, slot, views[f"trian.{slot}"])
-        _store_compiled(paged, "_compiled_trian", ct)
+    elif family in _SOA_FAMILIES:
+        compiled_cls, attr = _SOA_FAMILIES[family]
+        ct = compiled_cls()
+        for slot in compiled_cls.__slots__:
+            setattr(ct, slot, views[f"{family}.{slot}"])
+        _store_compiled(paged, attr, ct)
     if engine is not None and "schedule.segment_starts" in views:
         engine._segment_starts = views["schedule.segment_starts"]
         engine._bucket_position = views["schedule.bucket_position"]

@@ -31,7 +31,7 @@ from repro.geometry.kernels import (
     CompiledPartition,
     CompiledPolygon,
     CompiledSubdivision,
-    mbrs_contain_batch,
+    PointBatch,
     on_segment_batch,
     orientation_batch,
     point_coords,
@@ -60,7 +60,7 @@ __all__ = [
     "CompiledPartition",
     "CompiledPolygon",
     "CompiledSubdivision",
-    "mbrs_contain_batch",
+    "PointBatch",
     "on_segment_batch",
     "orientation_batch",
     "point_coords",

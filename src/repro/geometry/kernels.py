@@ -27,40 +27,128 @@ so repeated batch queries pay only for the array sweeps:
   bounding-box structure-of-arrays with ``locate_batch``, the batched
   equivalent of the brute-force :meth:`Subdivision.locate` oracle.
 
+Query batches themselves can travel as :class:`PointBatch`, an
+immutable ``Sequence[Point]`` backed by two coordinate arrays, which
+:func:`point_coords` returns uncopied.
+
 This module sits at the bottom of the geometry layer: it imports only
-numpy and the scalar tolerance, and accepts the scalar objects
-duck-typed (anything with ``vertices``/``regions``/``polylines``), so
-higher layers can compile their structures without import cycles.
+numpy, the scalar point and the scalar tolerance, and accepts the
+scalar objects duck-typed (anything with ``vertices``/``regions``/
+``polylines``), so higher layers can compile their structures without
+import cycles.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence as _SequenceABC
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import GeometryError, QueryError
 from repro.obs import active_collector
+from repro.geometry.point import Point
 from repro.geometry.predicates import EPS
 
 __all__ = [
+    "PointBatch",
     "point_coords",
     "orientation_batch",
     "cross_batch",
     "on_segment_batch",
     "rect_contains_batch",
-    "mbrs_contain_batch",
     "point_segment_distance_batch",
     "point_in_triangles_batch",
     "points_in_polygon",
+    "classify_pairs",
     "CompiledPolygon",
     "CompiledPartition",
     "CompiledSubdivision",
 ]
 
 
+class PointBatch(_SequenceABC):
+    """An immutable point sequence stored as two coordinate arrays.
+
+    The query batches of the engine path travel as arrays from the
+    workload to the tracer: :func:`point_coords` hands back ``xs``/``ys``
+    themselves, so no per-query :class:`Point` is ever built there.
+    Scalar consumers still see a ``Sequence[Point]``: indexing and
+    iteration build each :class:`Point` on demand, and ``==`` / ``+``
+    behave like those of a list of the same points.
+    """
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs, ys) -> None:
+        xs = np.asarray(xs, np.float64).view()
+        ys = np.asarray(ys, np.float64).view()
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            raise GeometryError(
+                f"coordinate arrays must be 1-D and equal in length, got "
+                f"shapes {xs.shape} and {ys.shape}"
+            )
+        # Read-only views: the caller's arrays stay writable, the
+        # batch's never change.
+        xs.flags.writeable = False
+        ys.flags.writeable = False
+        self.xs = xs
+        self.ys = ys
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PointBatch(self.xs[index], self.ys[index])
+        return Point(self.xs[index], self.ys[index])
+
+    def __iter__(self) -> Iterator[Point]:
+        return map(Point, self.xs.tolist(), self.ys.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PointBatch):
+            return bool(
+                np.array_equal(self.xs, other.xs)
+                and np.array_equal(self.ys, other.ys)
+            )
+        if isinstance(other, list):
+            return len(other) == len(self) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # like a list
+
+    def __add__(self, other):
+        if isinstance(other, PointBatch):
+            return PointBatch(
+                np.concatenate((self.xs, other.xs)),
+                np.concatenate((self.ys, other.ys)),
+            )
+        if isinstance(other, list):
+            return list(self) + other
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, list):
+            return other + list(self)
+        return NotImplemented
+
+    def __reduce__(self):
+        return (PointBatch, (np.array(self.xs), np.array(self.ys)))
+
+    def __repr__(self) -> str:
+        return f"PointBatch(n={len(self)})"
+
+
 def point_coords(points: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-    """Structure-of-arrays coordinates ``(xs, ys)`` of a point sequence."""
+    """Structure-of-arrays coordinates ``(xs, ys)`` of a point sequence.
+
+    A :class:`PointBatch` returns its own (read-only) arrays, uncopied.
+    """
+    if isinstance(points, PointBatch):
+        return points.xs, points.ys
     n = len(points)
     xs = np.fromiter((p.x for p in points), np.float64, count=n)
     ys = np.fromiter((p.y for p in points), np.float64, count=n)
@@ -131,28 +219,6 @@ def rect_contains_batch(rect, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         & (xs <= rect.max_x)
         & (rect.min_y <= ys)
         & (ys <= rect.max_y)
-    )
-
-
-def mbrs_contain_batch(
-    min_x: np.ndarray,
-    min_y: np.ndarray,
-    max_x: np.ndarray,
-    max_y: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> np.ndarray:
-    """Closed containment of every point in every MBR.
-
-    The MBR bounds are ``(R,)`` arrays and the coordinates ``(k,)``
-    arrays; the result is an ``(R, k)`` boolean matrix — the R*-tree
-    node test for a whole query frontier at once.
-    """
-    return (
-        (min_x[:, None] <= xs)
-        & (xs <= max_x[:, None])
-        & (min_y[:, None] <= ys)
-        & (ys <= max_y[:, None])
     )
 
 
@@ -439,6 +505,92 @@ class CompiledPartition:
         return odd if self.described_first else ~odd
 
 
+#: The flat edge-pool arrays :func:`classify_pairs` reads: every
+#: polygon's directed edges concatenated, polygon ``i`` owning the slice
+#: ``edge_start[i] : edge_start[i] + edge_counts[i]``.
+EDGE_POOL_FIELDS = (
+    "edge_start",
+    "edge_counts",
+    "all_ax",
+    "all_ay",
+    "all_bx",
+    "all_by",
+    "all_dx",
+    "all_dy",
+    "all_edge_min_x",
+    "all_edge_max_x",
+    "all_edge_min_y",
+    "all_edge_max_y",
+)
+
+
+def classify_pairs(
+    pool,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    pos: np.ndarray,
+    pt: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-pair ``(on_edge, odd)`` flags of (polygon, point) pairs.
+
+    *pool* carries the :data:`EDGE_POOL_FIELDS` arrays (a
+    :class:`CompiledSubdivision`, or any compiled form sharing its
+    pool); pair ``k`` tests point ``pt[k]`` against polygon
+    ``pos[k]``.  Each pair expands into its polygon's edges and the
+    :meth:`CompiledPolygon.classify_batch` arithmetic runs over the flat
+    (pair, edge) arrays, each expression only where it can decide: an
+    edge whose ``EPS``-widened y-range misses the point can neither
+    hold it nor cross its ray, the on-segment cross product needs the
+    widened x-range too, and the crossing abscissa only the edges
+    straddling the ray (the straddle makes its divisor nonzero).  The
+    bbox gate is the caller's: for points inside the polygon's bbox,
+    ``on_edge`` is the closed boundary test and ``~on_edge & odd`` the
+    strict interior.
+    """
+    pairs = len(pos)
+    edge_counts = pool.edge_counts[pos]
+    ends = np.cumsum(edge_counts)
+    total_edges = int(ends[-1]) if pairs else 0
+    edge = np.repeat(
+        pool.edge_start[pos] - ends + edge_counts, edge_counts
+    ) + np.arange(total_edges, dtype=np.int64)
+    py = np.repeat(ys[pt], edge_counts)
+    band = np.flatnonzero(
+        (pool.all_edge_min_y[edge] - EPS <= py)
+        & (py <= pool.all_edge_max_y[edge] + EPS)
+    )
+    # Owning pair of each banded (pair, edge) slot.
+    pair = np.searchsorted(ends, band, side="right")
+    edge = edge[band]
+    py = py[band]
+    px = xs[pt[pair]]
+
+    near = np.flatnonzero(
+        (pool.all_edge_min_x[edge] - EPS <= px)
+        & (px <= pool.all_edge_max_x[edge] + EPS)
+    )
+    ne = edge[near]
+    cross = pool.all_dx[ne] * (py[near] - pool.all_ay[ne]) - pool.all_dy[
+        ne
+    ] * (px[near] - pool.all_ax[ne])
+    on_edge = np.zeros(pairs, bool)
+    on_edge[pair[near[(cross <= EPS) & (cross >= -EPS)]]] = True
+
+    ay = pool.all_ay[edge]
+    by = pool.all_by[edge]
+    straddle = np.flatnonzero((ay > py) != (by > py))
+    se = edge[straddle]
+    say = ay[straddle]
+    ax = pool.all_ax[se]
+    x_at = ax + (py[straddle] - say) / (by[straddle] - say) * (
+        pool.all_bx[se] - ax
+    )
+    crossings = np.bincount(
+        pair[straddle[x_at > px[straddle]]], minlength=pairs
+    )
+    return on_edge, (crossings % 2).astype(bool)
+
+
 class CompiledSubdivision:
     """Structure-of-arrays form of a subdivision for batched point location.
 
@@ -637,7 +789,10 @@ class CompiledSubdivision:
             reg = reg[keep]
             pt = pt[keep]
             if reg.size:
-                self._classify_pairs(xs, ys, reg, pt, interior_pos, boundary_pos)
+                on_edge, odd = classify_pairs(self, xs, ys, reg, pt)
+                interior = ~on_edge & odd
+                np.minimum.at(interior_pos, pt[interior], reg[interior])
+                np.minimum.at(boundary_pos, pt[on_edge], reg[on_edge])
 
         # Scalar scan-order semantics, order-free: the first interior hit
         # always wins over any boundary hit, and "first in scan order"
@@ -655,65 +810,8 @@ class CompiledSubdivision:
             )
         return self.region_ids[result_pos]
 
-    def _classify_pairs(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        reg: np.ndarray,
-        pt: np.ndarray,
-        interior_pos: np.ndarray,
-        boundary_pos: np.ndarray,
-    ) -> None:
-        """Classify candidate (region, point) pairs in one ragged pass.
-
-        Expands each pair into its region's edges, runs the
-        :meth:`CompiledPolygon.classify_batch` arithmetic over the flat
-        edge-test arrays, reduces per pair with ``reduceat``, and folds
-        the interior/boundary hits into the per-point minimum region
-        positions.
-        """
-        edge_counts = self.edge_counts[reg]
-        edge_offsets = np.concatenate(
-            (np.zeros(1, np.int64), np.cumsum(edge_counts))
-        )
-        total_edges = int(edge_offsets[-1])
-        edge = np.repeat(
-            self.edge_start[reg] - edge_offsets[:-1], edge_counts
-        ) + np.arange(total_edges, dtype=np.int64)
-        ppt = np.repeat(pt, edge_counts)
-        px = xs[ppt]
-        py = ys[ppt]
-        ax = self.all_ax[edge]
-        ay = self.all_ay[edge]
-        bx = self.all_bx[edge]
-        by = self.all_by[edge]
-        cross = self.all_dx[edge] * (py - ay) - self.all_dy[edge] * (px - ax)
-        on_edge = (
-            (cross <= EPS)
-            & (cross >= -EPS)
-            & (self.all_edge_min_x[edge] - EPS <= px)
-            & (px <= self.all_edge_max_x[edge] + EPS)
-            & (self.all_edge_min_y[edge] - EPS <= py)
-            & (py <= self.all_edge_max_y[edge] + EPS)
-        )
-        straddle = (ay > py) != (by > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_at = ax + (py - ay) / (by - ay) * (bx - ax)
-        crossing = straddle & (x_at > px)
-
-        starts = edge_offsets[:-1]
-        on_edge_pair = np.logical_or.reduceat(on_edge, starts)
-        odd_pair = (
-            np.add.reduceat(crossing.astype(np.int64), starts) % 2
-        ).astype(bool)
-        interior_sel = ~on_edge_pair & odd_pair
-        np.minimum.at(interior_pos, pt[interior_sel], reg[interior_sel])
-        np.minimum.at(boundary_pos, pt[on_edge_pair], reg[on_edge_pair])
-
     @staticmethod
     def _point_for_error(points, xs, ys, index: int):
         if points is not None:
             return points[index]
-        from repro.geometry.point import Point
-
         return Point(float(xs[index]), float(ys[index]))

@@ -25,6 +25,8 @@ from repro.fleet import (
     spawned_seed,
 )
 from repro.fleet.shm import export_compiled_state
+from repro.geometry.kernels import PointBatch, point_coords
+from repro.geometry.point import Point
 from repro.obs import collecting
 from repro.datasets.catalog import SERVICE_AREA, uniform_dataset
 
@@ -88,6 +90,66 @@ class TestWorkload:
         assert len(set(seeds)) == 50
 
 
+class TestPointBatch:
+    """``chunk`` returns an array-backed ``PointBatch``: the tracers read
+    its arrays directly, scalar consumers see the same points a list
+    would hold."""
+
+    def test_chunk_split_is_bit_exact(self):
+        workload = UniformFleetWorkload(SERVICE_AREA, 1000, seed=3)
+        whole, _ = workload.chunk(0, 500)
+        left, _ = workload.chunk(0, 179)
+        right, _ = workload.chunk(179, 321)
+        joined = left + right
+        assert isinstance(joined, PointBatch)
+        for name in ("xs", "ys"):
+            got = getattr(joined, name).view(np.uint64)
+            want = getattr(whole, name).view(np.uint64)
+            np.testing.assert_array_equal(got, want)
+
+    def test_point_coords_returns_the_batch_arrays(self):
+        batch, _ = UniformFleetWorkload(SERVICE_AREA, 640, seed=1).chunk(0, 64)
+        xs, ys = point_coords(batch)
+        assert xs is batch.xs and ys is batch.ys
+        assert not xs.flags.writeable and not ys.flags.writeable
+
+    def test_iteration_yields_the_list_points(self):
+        batch, _ = UniformFleetWorkload(SERVICE_AREA, 640, seed=2).chunk(5, 200)
+        # The list the chunk used to return, built from the same draws.
+        listed = [
+            Point(float(x), float(y)) for x, y in zip(batch.xs, batch.ys)
+        ]
+        points = list(batch)
+        assert all(type(p) is Point for p in points)
+        assert points == listed
+        assert batch == listed and listed == batch
+        assert [batch[i] for i in range(-3, 3)] == listed[-3:] + listed[:3]
+        assert batch[10:20] == listed[10:20]
+        assert listed[:7] + batch[7:] == listed
+        assert pickle.loads(pickle.dumps(batch)) == batch
+
+    def test_simulate_mode_same_for_batch_and_list(self, fleet_world):
+        class ListWorkload(UniformFleetWorkload):
+            def chunk(self, start, size):
+                points, times = super().chunk(start, size)
+                return list(points), times
+
+        spec = _spec(fleet_world, mode="simulate", error_rate=0.1)
+        listed = _spec(fleet_world, mode="simulate", error_rate=0.1)
+        workload = spec.workload
+        listed.workload = ListWorkload(
+            workload.area, workload.cycle_length, seed=workload.seed
+        )
+        got = FleetRunner(spec, chunk_size=150).run(450)
+        want = FleetRunner(listed, chunk_size=150).run(450)
+        assert got.losses == want.losses > 0
+        assert got.attempts == want.attempts
+        np.testing.assert_array_equal(
+            got.merged_answers(), want.merged_answers()
+        )
+        assert got.summary() == want.summary()
+
+
 class TestShmArena:
     def test_round_trip_and_zero_copy(self):
         arrays = {
@@ -130,6 +192,14 @@ class TestShmArena:
         assert meta["family"] == kind
         assert any(name.startswith(f"{kind}.") for name in arrays)
         assert "schedule.segment_starts" in arrays
+
+
+    def test_export_compiled_state_rstar(self, fleet_world):
+        _, world = fleet_world
+        paged, schedule, _ = world["rstar"]
+        arrays, meta = export_compiled_state(paged, QueryEngine(paged, schedule))
+        assert meta == {"family": "rstar", "index_version": 0}
+        assert "rstar.entry_rank" in arrays and "rstar.all_ax" in arrays
 
 
 class TestEngineModeDeterminism:
@@ -226,6 +296,23 @@ class TestTrapTrianWorkerParity:
             assert s1[key] == s8[key] or (
                 math.isnan(s1[key]) and math.isnan(s8[key])
             ), key
+
+
+class TestRStarWorkerParity:
+    """The flat R*-tree arrays fan out through the arena: workers attach
+    them without rebuilding any node graph, answers array-exact."""
+
+    @pytest.mark.parametrize("start_method", ("fork", "spawn"))
+    def test_workers_1_vs_2(self, fleet_world, start_method):
+        spec = _spec(fleet_world, kind="rstar")
+        solo = FleetRunner(spec, chunk_size=200).run(800)
+        fanned = FleetRunner(
+            spec, chunk_size=200, workers=2, start_method=start_method
+        ).run(800)
+        np.testing.assert_array_equal(
+            solo.merged_answers(), fanned.merged_answers()
+        )
+        assert solo.summary() == fanned.summary()
 
 
 class TestSimulateModeDeterminism:

@@ -19,7 +19,6 @@ from repro.geometry.kernels import (
     CompiledPartition,
     CompiledPolygon,
     CompiledSubdivision,
-    mbrs_contain_batch,
     on_segment_batch,
     orientation_batch,
     point_coords,
@@ -116,26 +115,6 @@ class TestRectKernels:
         xs, ys = point_coords(pts)
         batch = rect_contains_batch(rect, xs, ys)
         assert batch.tolist() == [rect.contains_point(p) for p in pts]
-
-    def test_mbrs_contain_matrix_matches_scalar(self):
-        rects = [
-            Rect(0.0, 0.0, 0.5, 0.5),
-            Rect(0.5, 0.5, 1.0, 1.0),
-            Rect(0.2, 0.0, 0.4, 1.0),
-        ]
-        pts = [Point(0.5, 0.5), Point(0.3, 0.9), Point(0.0, 0.0)]
-        xs, ys = point_coords(pts)
-        matrix = mbrs_contain_batch(
-            np.array([r.min_x for r in rects]),
-            np.array([r.min_y for r in rects]),
-            np.array([r.max_x for r in rects]),
-            np.array([r.max_y for r in rects]),
-            xs,
-            ys,
-        )
-        assert matrix.shape == (3, 3)
-        for i, r in enumerate(rects):
-            assert matrix[i].tolist() == [r.contains_point(p) for p in pts]
 
 
 class TestCompiledPolygon:

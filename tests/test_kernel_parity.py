@@ -29,7 +29,13 @@ from repro.engine.trace import (
     _trace_batch_trap,
     _trace_batch_trian,
 )
-from repro.errors import QueryError
+from repro.errors import BroadcastError, QueryError
+from repro.geometry.kernels import PointBatch, point_coords
+from repro.geometry.point import Point
+from repro.geometry.predicates import EPS
+from repro.geometry.rect import Rect
+from repro.rstar.paged import PagedRStarTree, rstar_fanout
+from repro.rstar.tree import RStarTree
 
 from tests.conftest import random_points_in
 from tests.test_geometry_kernels import adversarial_points
@@ -125,6 +131,145 @@ class TestTracerParity:
             _KERNEL_TRACER[kind](paged, points),
             _trace_batch_generic(paged, points),
         )
+
+
+class TestRStarParity:
+    """The flat R*-tree tracer expands every MBR-reachable (query, entry)
+    pair and keeps each query's events up to its lowest-rank hit; these
+    cases pin it to the scalar DFS where that differs most from a DFS:
+    boundary points, and points whose first candidate polygon fails so
+    the DFS backtracks into a sibling or cousin subtree."""
+
+    @staticmethod
+    def _fresh(voronoi60, capacity):
+        family = index_family("rstar")
+        params = family.parameters(packet_capacity=capacity)
+        return family.build(voronoi60, seed=7).page(params)
+
+    @pytest.fixture(scope="class", params=(256, 64))
+    def rstar(self, request, voronoi60):
+        return self._fresh(voronoi60, request.param)
+
+    @staticmethod
+    def _leaves_read(paged, point):
+        """Preorder paths of the leaf nodes the scalar search reads."""
+        paths = {}
+
+        def walk(node, path):
+            if node.is_leaf:
+                paths[paged._node_packet[id(node)]] = path
+            else:
+                for i, entry in enumerate(node.entries):
+                    walk(entry.child, path + (i,))
+
+        walk(paged.tree.root, ())
+        return [
+            paths[pkt]
+            for pkt in paged.trace(point).packets_accessed
+            if pkt in paths
+        ]
+
+    @staticmethod
+    def _service_area_points(area):
+        out = []
+        for f in (0.0, 0.125, 0.5, 0.875, 1.0):
+            x = area.min_x + f * (area.max_x - area.min_x)
+            y = area.min_y + f * (area.max_y - area.min_y)
+            out += [
+                Point(x, area.min_y),
+                Point(x, area.max_y),
+                Point(area.min_x, y),
+                Point(area.max_x, y),
+            ]
+        return out
+
+    def test_boundary_and_backtracking_points(self, voronoi60, rstar):
+        sample = random_points_in(voronoi60, 400, seed=29)
+        sibling, cousin = [], []
+        for p in sample:
+            leaves = self._leaves_read(rstar, p)
+            if len(leaves) > 1:
+                answer = leaves[-1]
+                if all(path[:-1] == answer[:-1] for path in leaves):
+                    sibling.append(p)
+                else:
+                    cousin.append(p)
+        assert sibling, "no point backtracks into a sibling leaf"
+        if rstar.params.packet_capacity == 64:
+            assert cousin, "no point backtracks into a cousin subtree"
+        points = (
+            adversarial_points(voronoi60, max_regions=len(voronoi60.regions))
+            + self._service_area_points(voronoi60.service_area)
+            + sibling
+            + cousin
+            + sample[:50]
+        )
+        want = _trace_batch_generic(rstar, points)
+        _assert_traces_equal(_trace_batch_rstar(rstar, points), want)
+        xs, ys = point_coords(points)
+        _assert_traces_equal(_trace_batch_rstar(rstar, PointBatch(xs, ys)), want)
+
+    @pytest.mark.parametrize("where", ("inside the span", "across spans"))
+    def test_backwards_shape_packet_raises_scalar_error(self, voronoi60, where):
+        paged = self._fresh(voronoi60, 64)
+        good = random_points_in(voronoi60, 30, seed=31)
+        victim = good[12]
+        region = voronoi60.locate(victim)
+        first = paged._shape_packets[region][0]
+        if where == "inside the span":
+            # Only the per-event backwards flag can see this one.
+            paged._shape_packets[region] = [first, first + 1, first]
+        else:
+            # Packet 0 is the root's, read before every shape span.
+            paged._shape_packets[region] = [0]
+        with pytest.raises(BroadcastError) as scalar_err:
+            _trace_batch_generic(paged, good)
+        with pytest.raises(BroadcastError) as batch_err:
+            _trace_batch_rstar(paged, good)
+        assert str(batch_err.value) == str(scalar_err.value)
+
+    def test_leaf_mbr_wider_than_polygon_bbox(self, grid4x4):
+        """The exact leaf test keeps the polygon's own bbox gate: a leaf
+        MBR wider than its region admits points the scalar
+        ``contains_point`` rejects even within ``EPS`` of an edge."""
+        params = index_family("rstar").parameters(packet_capacity=256)
+        tree = RStarTree(grid4x4, rstar_fanout(params))
+        for region in grid4x4.regions:
+            box = region.polygon.bbox
+            wide = Rect(
+                box.min_x - 1.0, box.min_y - 1.0, box.max_x + 1.0, box.max_y + 1.0
+            )
+            tree.insert(region.region_id, wide)
+        paged = PagedRStarTree(tree, params)
+        area = grid4x4.service_area
+        mid_y = (area.min_y + area.max_y) / 2
+        near = Point(area.max_x + EPS / 2, mid_y)
+        points = random_points_in(grid4x4, 10, seed=41) + [near]
+        with pytest.raises(QueryError) as scalar_err:
+            paged.trace(near)
+        with pytest.raises(QueryError) as batch_err:
+            _trace_batch_rstar(paged, points)
+        assert str(batch_err.value) == str(scalar_err.value)
+        inside = random_points_in(grid4x4, 40, seed=43)
+        _assert_traces_equal(
+            _trace_batch_rstar(paged, inside),
+            _trace_batch_generic(paged, inside),
+        )
+
+    def test_unlocated_point_names_lowest_index(self, voronoi60, rstar):
+        area = voronoi60.service_area
+        outside = [
+            Point(area.max_x + 1.0, area.min_y),
+            Point(area.min_x - 2.0, area.max_y + 2.0),
+        ]
+        good = random_points_in(voronoi60, 20, seed=37)
+        batch = good[:8] + [outside[0]] + good[8:] + [outside[1]]
+        with pytest.raises(QueryError) as scalar_err:
+            rstar.trace(outside[0])
+        with pytest.raises(QueryError) as batch_err:
+            _trace_batch_rstar(rstar, batch)
+        assert str(batch_err.value) == str(scalar_err.value)
+        assert repr(outside[0]) in str(batch_err.value)
 
 
 class TestDTreePagingVariants:
@@ -289,11 +434,13 @@ class TestTraceObservability:
         "dtree": ("trace.dtree.levels",),
         "trap": ("trace.trap.levels",),
         "trian": ("trace.trian.levels",),
+        "rstar": ("trace.rstar.levels",),
     }
     HISTOGRAMS = {
         "dtree": ("trace.dtree.frontier_width",),
         "trap": ("trace.trap.frontier_width",),
         "trian": ("trace.trian.frontier_width", "trace.trian.scan_width"),
+        "rstar": ("trace.rstar.frontier_width", "trace.rstar.candidate_pairs"),
     }
 
     @pytest.mark.parametrize("kind", sorted(COUNTERS))
