@@ -4,7 +4,9 @@ One cell per (index family, error model, error rate): the whole workload
 through :func:`repro.simulation.simulate_workload`, printing the
 latency/tuning/energy tail percentiles that the error-free engine cannot
 produce.  Error rates cover the acceptance grid {0, 0.01, 0.05, 0.1}
-under both Bernoulli and Gilbert-Elliott loss.
+under both Bernoulli and Gilbert-Elliott loss.  Every cell also checks
+that the batched simulator's report equals a per-query
+``UnreliableBroadcastClient.query`` loop over the same seed, bit for bit.
 """
 
 import random
@@ -13,7 +15,12 @@ import pytest
 
 from repro.datasets.catalog import uniform_dataset
 from repro.engine import index_family
-from repro.simulation import simulate_workload
+from repro.broadcast.plan import workload_timeline
+from repro.simulation import (
+    UnreliableBroadcastClient,
+    make_error_model,
+    simulate_workload,
+)
 
 from conftest import run_once
 
@@ -75,8 +82,40 @@ def test_bench_simulate(
         f"losses = {report.total_losses}"
     )
     assert len(report) == QUERIES
+    _assert_equals_query_loop(
+        report, paged, sub.region_ids, params, points, model, error_rate, seed=7
+    )
     if error_rate == 0.0:
         assert report.total_losses == 0
     if error_rate >= 0.05:
         assert report.total_losses > 0
     assert summary["latency_p50"] <= summary["latency_p99"]
+
+
+def _assert_equals_query_loop(
+    report, paged, region_ids, params, points, model, error_rate, seed
+):
+    """The report equals a fresh client answering *points* one
+    ``query`` at a time, with the simulator's issue-time and channel
+    streams for *seed*."""
+    client = UnreliableBroadcastClient(
+        paged,
+        workload_timeline(paged, region_ids, params),
+        error_model=make_error_model(model, error_rate),
+    )
+    rng = random.Random(seed)
+    times = [rng.uniform(0, client.cycle_length) for _ in points]
+    client.error_model.reset(random.Random(f"channel:{seed}"))
+    results = [client.query(p, t) for p, t in zip(points, times)]
+    assert report.issue_times.tolist() == times
+    for field, attr in (
+        ("region_ids", "region_id"),
+        ("access_latency", "access_latency"),
+        ("tuning_time", "total_tuning_time"),
+        ("energy_joules", "energy_joules"),
+        ("packet_losses", "packet_losses"),
+        ("read_attempts", "read_attempts"),
+    ):
+        assert getattr(report, field).tolist() == [
+            getattr(r, attr) for r in results
+        ], field

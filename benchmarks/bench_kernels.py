@@ -124,13 +124,10 @@ def bench_locate_batch_speedup_10k(benchmark, subdivision):
     # Best of 3 per side: the batch call is milliseconds-scale and its
     # first run pays one-off allocation costs.
     scalar_ids = [subdivision.locate(p) for p in points]
-    scalar_s = min(
-        _timed(lambda: [subdivision.locate(p) for p in points])
-        for _ in range(3)
-    )
     batch_ids = compiled.locate_batch(points)
-    batch_s = min(
-        _timed(lambda: compiled.locate_batch(points)) for _ in range(3)
+    scalar_s, batch_s = _paired_best(
+        lambda: [subdivision.locate(p) for p in points],
+        lambda: compiled.locate_batch(points),
     )
     run_recorded(
         benchmark,
@@ -199,19 +196,9 @@ def bench_family_e2e_speedup_10k(benchmark, subdivision, request, kind):
     region_ids = subdivision.region_ids
     points = _points(subdivision, n)
 
-    generic_s = min(
-        _timed(
-            lambda: evaluate_workload(
-                reference, region_ids, params, points, seed=3
-            )
-        )
-        for _ in range(3)
-    )
-    kernel_s = min(
-        _timed(
-            lambda: evaluate_workload(paged, region_ids, params, points, seed=3)
-        )
-        for _ in range(3)
+    generic_s, kernel_s = _paired_best(
+        lambda: evaluate_workload(reference, region_ids, params, points, seed=3),
+        lambda: evaluate_workload(paged, region_ids, params, points, seed=3),
     )
     run_recorded(
         benchmark,
@@ -290,3 +277,14 @@ def _timed(fn):
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def _paired_best(scalar, kernel, rounds=3):
+    """Best-of-*rounds* seconds of *scalar* and *kernel*, timed in
+    alternating pairs so drift of a shared host lands on both sides of
+    the ratio rather than on one."""
+    scalar_s, kernel_s = [], []
+    for _ in range(rounds):
+        scalar_s.append(_timed(scalar))
+        kernel_s.append(_timed(kernel))
+    return min(scalar_s), min(kernel_s)

@@ -19,6 +19,12 @@ or skewed the search costs one anchor per channel and ends at
 ``base + last_needed + 1``; with loss or a version check, reads are made
 one slot at a time.  DESIGN.md §3 maps each public client to its
 configuration.
+
+The walk has two entry points.  :meth:`AccessClient.query` binds (under
+a version check, to the index live at each probe), traces the point and
+walks its search path; :meth:`AccessClient.walk_path` walks a path traced
+beforehand — the lossy simulator traces a whole batch at once with the
+compiled tracers and feeds each query's path in.
 """
 
 from __future__ import annotations
@@ -252,6 +258,10 @@ class PacketCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def clear(self) -> None:
+        """Forget every entry (a cold client)."""
+        self._entries.clear()
+
     def touch(self, packet_id: int) -> None:
         """Record a use (insert or refresh), evicting LRU on overflow."""
         if self.capacity == 0:
@@ -418,8 +428,34 @@ class AccessClient:
 
     # -- the walk ------------------------------------------------------------
 
-    def _walk(self, point: Point, issue_time: float, start: float):
-        """Probe at *start*, search the index, retrieve the data."""
+    def walk_path(
+        self, region: int, path: List[int], issue_time: float
+    ) -> Tuple[float, int, int]:
+        """The walk of a query traced beforehand: probe at *issue_time*,
+        search *path* (the list of its forward-only, de-duplicated packet
+        ids, a row of :attr:`~repro.engine.TraceBatch.path_packets`) and
+        retrieve *region*'s bucket.
+
+        Consumes the channel and the cache exactly as :meth:`query` on
+        the same point does and emits the same profile counters.
+        Returns ``(access latency, tuning time, packet losses)``; under
+        loss the tuning time counts every read attempt.  Not for a
+        version-checked client: its index can change between probes, so
+        only :meth:`query` (which traces after binding) is sound there.
+        """
+        if self.server is not None:
+            raise BroadcastError(
+                "a version-checked client traces after each probe; use query()"
+            )
+        self._start_walk()
+        needed, probe, latency = self._access(region, path, issue_time, issue_time)
+        self._count(len(path), needed, probe, latency)
+        if self.error_model is not None:
+            return latency, self._reads, self._losses
+        return latency, probe + len(needed) + self.schedule.bucket_packets, 0
+
+    def _start_walk(self) -> None:
+        """Zero the per-query tallies (and start the loss process)."""
         self._hops = 0
         if self._per_packet:
             self._reads = self._probe_reads = self._index_reads = 0
@@ -427,22 +463,37 @@ class AccessClient:
             self._fell_back = False
             if self.error_model is not None:
                 self.error_model.start_query()
-            if self.server is not None:
-                # The probe packet names the index generation on the
-                # air: everything this attempt reads must carry its stamp.
-                self._notify("probe")
-                server = self.server
-                self._bind(server.paged, server.schedule)
-                self._version = server.version
+
+    def _walk(self, point: Point, issue_time: float, start: float):
+        """Bind and trace one attempt, then walk its search path."""
+        self._start_walk()
+        if self.server is not None:
+            # The probe packet names the index generation on the air:
+            # everything this attempt reads must carry its stamp, so the
+            # trace follows the bind.
+            self._notify("probe")
+            server = self.server
+            self._bind(server.paged, server.schedule)
+            self._version = server.version
         trace = self.paged_index.trace(point)
         accessed = trace.packets_accessed
         check_forward(accessed)
         # Forward-only + consecutive-dedup means ids are strictly
         # increasing; dict.fromkeys guards duck-typed indexes that repeat.
-        unique = list(dict.fromkeys(accessed))
+        path = list(dict.fromkeys(accessed))
+        needed, probe, latency = self._access(
+            trace.region_id, path, issue_time, start
+        )
+        return self._result(trace, len(path), needed, probe, latency)
+
+    def _access(
+        self, region: int, path: List[int], issue_time: float, start: float
+    ) -> Tuple[List[int], int, float]:
+        """Probe at *start*, search *path*, retrieve *region*'s bucket.
+        Returns ``(needed, probe, latency)``: the path packets read from
+        the air, the probes made (0 or 1) and the access latency."""
         cache = self.cache
-        needed = unique if cache is None else [p for p in unique if p not in cache]
-        region = trace.region_id
+        needed = path if cache is None else [p for p in path if p not in cache]
         current = self.start_channel
         unread: Sequence[int] = ()
         if cache is not None and not needed:
@@ -464,10 +515,10 @@ class AccessClient:
             else:
                 finish = self._retrieve(region, ready, current)
         if cache is not None:
-            for pid in unique:
+            for pid in path:
                 if pid not in unread:
                     cache.touch(pid)
-        return self._result(trace, len(unique), needed, probe, finish - issue_time)
+        return needed, probe, finish - issue_time
 
     def _probe(self, t: float) -> float:
         """Step 1: read the packet in flight at *t* to learn the broadcast
@@ -673,6 +724,50 @@ class AccessClient:
 
     # -- outcome -------------------------------------------------------------
 
+    def _count(
+        self, path_packets: int, needed: List[int], probe: int, latency: float
+    ) -> None:
+        """Emit one query's profile counters (``sim.*`` with loss,
+        ``client.*`` otherwise; none under a version check).  Counters
+        only observe the walk's bookkeeping, so collected runs stay
+        bit-for-bit identical."""
+        col = active_collector()
+        if col is None or self.server is not None:
+            return
+        hops = self._hops
+        hop_slots = hops * self._hop_cost
+        if self.error_model is None:
+            total_tuning = probe + len(needed) + self.schedule.bucket_packets
+            col.count("client.queries")
+            col.count("client.probes", probe)
+            col.count("client.packets.index", len(needed))
+            col.count("client.packets.data", self.schedule.bucket_packets)
+            col.count("client.hops", hops)
+            col.count("client.hop_slots", hop_slots)
+            col.count("client.doze_slots", latency - total_tuning - hop_slots)
+            return
+        reads = self._reads
+        col.count("sim.queries")
+        col.count("sim.losses", self._losses)
+        col.count("sim.read_attempts", reads)
+        col.count("sim.reads.probe", self._probe_reads)
+        col.count("sim.reads.index", self._index_reads)
+        col.count("sim.reads.data", reads - self._probe_reads - self._index_reads)
+        col.count("sim.retries", self._retries)
+        if self._fell_back:
+            col.count("sim.fallbacks")
+        col.count("sim.hops", hops)
+        col.count("sim.hop_slots", hop_slots)
+        col.count("sim.doze_slots", max(latency - reads - hop_slots, 0.0))
+        if self.cache is not None:
+            col.count("sim.cache.hits", path_packets - len(needed))
+            col.count("sim.cache.misses", len(needed))
+        receive_j, doze_j = self.energy_model.query_components(
+            reads, latency, self.schedule.params.packet_capacity
+        )
+        col.count("sim.energy.receive_j", receive_j)
+        col.count("sim.energy.doze_j", doze_j)
+
     def _result(
         self,
         trace: QueryTrace,
@@ -681,41 +776,16 @@ class AccessClient:
         probe: int,
         latency: float,
     ) -> AccessResult:
-        """Package one query's outcome and emit its profile counters
-        (``sim.*`` with loss, ``client.*`` otherwise; none under a
-        version check).  Counters only observe the walk's bookkeeping, so
-        collected runs stay bit-for-bit identical."""
+        """Package one query's outcome and emit its profile counters."""
+        self._count(path_packets, needed, probe, latency)
         region = trace.region_id
         hops = self._hops
         hop_slots = hops * self._hop_cost
-        col = active_collector()
         if self.error_model is not None:
             reads = self._reads
-            capacity = self.schedule.params.packet_capacity
-            energy = self.energy_model.query_joules(reads, latency, capacity)
-            if col is not None:
-                col.count("sim.queries")
-                col.count("sim.losses", self._losses)
-                col.count("sim.read_attempts", reads)
-                col.count("sim.reads.probe", self._probe_reads)
-                col.count("sim.reads.index", self._index_reads)
-                col.count(
-                    "sim.reads.data", reads - self._probe_reads - self._index_reads
-                )
-                col.count("sim.retries", self._retries)
-                if self._fell_back:
-                    col.count("sim.fallbacks")
-                col.count("sim.hops", hops)
-                col.count("sim.hop_slots", hop_slots)
-                col.count("sim.doze_slots", max(latency - reads - hop_slots, 0.0))
-                if self.cache is not None:
-                    col.count("sim.cache.hits", path_packets - len(needed))
-                    col.count("sim.cache.misses", len(needed))
-                receive_j, doze_j = self.energy_model.query_components(
-                    reads, latency, capacity
-                )
-                col.count("sim.energy.receive_j", receive_j)
-                col.count("sim.energy.doze_j", doze_j)
+            energy = self.energy_model.query_joules(
+                reads, latency, self.schedule.params.packet_capacity
+            )
             return SimAccessResult(
                 region, latency, self._index_reads, reads, trace,
                 reads, self._losses, energy, hops, hop_slots,
@@ -733,14 +803,6 @@ class AccessClient:
                 attempts=self._attempt,
                 wasted_tuning=self._wasted,
             )
-        if col is not None:
-            col.count("client.queries")
-            col.count("client.probes", probe)
-            col.count("client.packets.index", index_tuning)
-            col.count("client.packets.data", self.schedule.bucket_packets)
-            col.count("client.hops", hops)
-            col.count("client.hop_slots", hop_slots)
-            col.count("client.doze_slots", latency - total_tuning - hop_slots)
         if self.plan is None:
             return AccessResult(region, latency, index_tuning, total_tuning, trace)
         return HopAccessResult(

@@ -39,6 +39,12 @@ guaranteeing results identical to the per-query path:
   :func:`repro.engine.register_index` work unchanged; they can opt into
   batching with :func:`register_tracer`.
 
+On request (``batched_trace(..., paths=True)``, the lossy simulator's
+call) a tracer also returns every query's search path in CSR form: the
+de-duplicated, forward-only packet sequence the access walk reads.  The
+compiled tracers collect it from the packets they already charge; the
+engine never asks, so its tracer work is unchanged.
+
 The per-point scalar path (``paged.trace``, batched by
 :func:`_trace_batch_generic`) is the one oracle: the kernel tracers are
 parity-tested against it, re-run it to raise its exact error, and the
@@ -50,7 +56,7 @@ Every tracer applies the same forward-only channel check as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +70,7 @@ from repro.geometry.kernels import (
     classify_pairs,
     cross_batch,
     point_coords,
+    ragged_ranges,
 )
 from repro.geometry.predicates import EPS
 from repro.geometry.point import Point
@@ -72,13 +79,17 @@ from repro.geometry.point import Point
 class TraceBatch:
     """Per-query trace outcomes of one batched workload."""
 
-    __slots__ = ("region_ids", "last_packet", "tuning_time")
+    __slots__ = (
+        "region_ids", "last_packet", "tuning_time", "path_start", "path_packets"
+    )
 
     def __init__(
         self,
         region_ids: np.ndarray,
         last_packet: np.ndarray,
         tuning_time: np.ndarray,
+        path_start: Optional[np.ndarray] = None,
+        path_packets: Optional[np.ndarray] = None,
     ) -> None:
         #: Data region answering each query.
         self.region_ids = region_ids
@@ -87,6 +98,11 @@ class TraceBatch:
         self.last_packet = last_packet
         #: Index-search tuning time in packet accesses (Figure 12 unit).
         self.tuning_time = tuning_time
+        #: Search paths in CSR form, present only when asked for: query
+        #: ``i`` reads ``path_packets[path_start[i]:path_start[i + 1]]``,
+        #: the scalar path's ``list(dict.fromkeys(packets_accessed))``.
+        self.path_start = path_start
+        self.path_packets = path_packets
 
     def __len__(self) -> int:
         return len(self.region_ids)
@@ -100,11 +116,15 @@ Tracer = Callable[[PagedIndex, Sequence[Point]], TraceBatch]
 #: Paged-index class -> batched tracer.  Populated lazily with the
 #: built-ins; extended via :func:`register_tracer`.
 TRACER_REGISTRY: Dict[type, Tracer] = {}
+#: The built-in tracers, which also return search paths on request.
+_PATH_TRACERS: set = set()
 _BUILTINS_LOADED = False
 
 
 def register_tracer(paged_cls: type, tracer: Tracer) -> None:
-    """Register a batched tracer for a paged-index class."""
+    """Register a batched tracer ``tracer(paged, points)`` for a
+    paged-index class.  A caller asking for search paths gets the
+    per-point fallback instead."""
     TRACER_REGISTRY[paged_cls] = tracer
 
 
@@ -162,15 +182,25 @@ def _load_builtin_tracers() -> None:
     from repro.pointloc.trapezoidal import PagedTrapTree
     from repro.rstar.paged import PagedRStarTree
 
-    TRACER_REGISTRY.setdefault(PagedDTree, _trace_batch_dtree)
-    TRACER_REGISTRY.setdefault(PagedRStarTree, _trace_batch_rstar)
-    TRACER_REGISTRY.setdefault(PagedTrapTree, _trace_batch_trap)
-    TRACER_REGISTRY.setdefault(PagedTrianTree, _trace_batch_trian)
+    for cls, tracer in (
+        (PagedDTree, _trace_batch_dtree),
+        (PagedRStarTree, _trace_batch_rstar),
+        (PagedTrapTree, _trace_batch_trap),
+        (PagedTrianTree, _trace_batch_trian),
+    ):
+        TRACER_REGISTRY.setdefault(cls, tracer)
+        _PATH_TRACERS.add(tracer)
     _BUILTINS_LOADED = True
 
 
-def batched_trace(paged_index: PagedIndex, points: Sequence[Point]) -> TraceBatch:
-    """Trace a whole workload, dispatching on the paged index's class."""
+def batched_trace(
+    paged_index: PagedIndex, points: Sequence[Point], *, paths: bool = False
+) -> TraceBatch:
+    """Trace a whole workload, dispatching on the paged index's class.
+
+    ``paths=True`` also returns each query's search path (see
+    :class:`TraceBatch`).
+    """
     if not _BUILTINS_LOADED:
         _load_builtin_tracers()
     for cls in type(paged_index).__mro__:
@@ -179,7 +209,12 @@ def batched_trace(paged_index: PagedIndex, points: Sequence[Point]) -> TraceBatc
             break
     else:
         tracer = _trace_batch_generic
-    batch = tracer(paged_index, points)
+    if not paths:
+        batch = tracer(paged_index, points)
+    elif tracer is _trace_batch_generic or tracer in _PATH_TRACERS:
+        batch = tracer(paged_index, points, paths=True)
+    else:
+        batch = _trace_batch_generic(paged_index, points, paths=True)
     col = active_collector()
     if col is not None:
         # Per-family packet counters, keyed by the paged-index class.
@@ -195,13 +230,15 @@ def batched_trace(paged_index: PagedIndex, points: Sequence[Point]) -> TraceBatc
 
 
 def _trace_batch_generic(
-    paged_index: PagedIndex, points: Sequence[Point]
+    paged_index: PagedIndex, points: Sequence[Point], paths: bool = False
 ) -> TraceBatch:
     """Per-point fallback over the index's own ``trace``."""
     n = len(points)
     regions = np.empty(n, np.int64)
     last = np.empty(n, np.int64)
     tuning = np.empty(n, np.int64)
+    path_start = np.zeros(n + 1, np.int64) if paths else None
+    flat: List[int] = []
     for i, p in enumerate(points):
         trace = paged_index.trace(p)
         accessed = trace.packets_accessed
@@ -209,7 +246,41 @@ def _trace_batch_generic(
         regions[i] = trace.region_id
         last[i] = accessed[-1] if accessed else 0
         tuning[i] = trace.tuning_time
-    return TraceBatch(regions, last, tuning)
+        if paths:
+            flat.extend(dict.fromkeys(accessed))
+            path_start[i + 1] = len(flat)
+    return TraceBatch(
+        regions, last, tuning, path_start,
+        np.array(flat, np.int64) if paths else None,
+    )
+
+
+def _with_paths(
+    batch: TraceBatch,
+    paths: bool,
+    packet_count: int,
+    queries: List[np.ndarray],
+    packets: List[np.ndarray],
+) -> TraceBatch:
+    """*batch*, given its CSR search paths when *paths* asks for them,
+    from every (query, packet) read the tracer charged, in any order.
+
+    Reads are forward-only (the tracers check it before they return),
+    so each query's path in read order is its distinct packets in
+    ascending order: one sort of ``query * packet_count + packet`` keys
+    with duplicates dropped.
+    """
+    if not paths:
+        return batch
+    keys = (
+        np.unique(np.concatenate(queries) * packet_count + np.concatenate(packets))
+        if queries
+        else np.zeros(0, np.int64)
+    )
+    query, batch.path_packets = np.divmod(keys, packet_count)
+    batch.path_start = np.zeros(len(batch) + 1, np.int64)
+    np.cumsum(np.bincount(query, minlength=len(batch)), out=batch.path_start[1:])
+    return batch
 
 
 # -- D-tree: shared prefix traversal over compiled partitions ----------------
@@ -224,7 +295,9 @@ class _CompiledDTree:
     one array indexed by ``node_id``, so the traversal advances a whole
     frontier with gathers instead of touching Python node objects.
     Child codes are the child's ``node_id`` for internal children and
-    ``~region_id`` (always negative) for data pointers.
+    ``~region_id`` (always negative) for data pointers.  A node's whole
+    packet span sits in ``span_packets[span_start:span_start +
+    span_count]`` for the search paths.
     """
 
     __slots__ = (
@@ -243,6 +316,9 @@ class _CompiledDTree:
         "pkt_distinct",
         "multi",
         "span_bad",
+        "span_start",
+        "span_count",
+        "span_packets",
         "seg_ax",
         "seg_ay",
         "seg_bx",
@@ -288,6 +364,9 @@ def _compile_dtree(paged) -> _CompiledDTree:
     ct.pkt_distinct = np.empty(count, np.int64)
     ct.multi = np.empty(count, bool)
     ct.span_bad = np.empty(count, bool)
+    ct.span_start = np.empty(count, np.int64)
+    ct.span_count = np.empty(count, np.int64)
+    spans: List[int] = []
 
     segs: List[List[np.ndarray]] = [[], [], [], []]
     offset = 0
@@ -311,6 +390,9 @@ def _compile_dtree(paged) -> _CompiledDTree:
         ct.pkt_distinct[i] = len(set(packets))
         ct.multi[i] = len(packets) > 1
         ct.span_bad[i] = any(b < a for a, b in zip(packets, packets[1:]))
+        ct.span_start[i] = len(spans)
+        ct.span_count[i] = len(packets)
+        spans.extend(packets)
         for code_arr, child in ((ct.left_code, node.left), (ct.right_code, node.right)):
             code_arr[i] = (
                 child.node_id if isinstance(child, DTreeNode) else ~int(child)
@@ -320,6 +402,7 @@ def _compile_dtree(paged) -> _CompiledDTree:
     ct.seg_ax, ct.seg_ay, ct.seg_bx, ct.seg_by = (
         np.concatenate(pool) if pool else empty for pool in segs
     )
+    ct.span_packets = np.array(spans, np.int64)
     _store_compiled(paged, "_compiled_dtree", ct)
     return ct
 
@@ -339,13 +422,8 @@ def _pair_parity(
     and ``reduceat`` folds the hits back per pair.  Returns the boolean
     "first side" answer per pair.
     """
-    pair_start = ct.seg_start[nd]
     pair_count = ct.seg_count[nd]
-    offsets = np.cumsum(pair_count)
-    total = int(offsets[-1])
-    edge = np.repeat(pair_start - offsets + pair_count, pair_count) + np.arange(
-        total, dtype=np.int64
-    )
+    edge = ragged_ranges(ct.seg_start[nd], pair_count)
     rep = np.repeat(np.arange(len(ex), dtype=np.int64), pair_count)
     dim_y = bucket < 2
     described = bucket % 2 == 0
@@ -388,7 +466,9 @@ def _pair_parity(
     return odd if described else ~odd
 
 
-def _trace_batch_dtree(paged, points: Sequence[Point]) -> TraceBatch:
+def _trace_batch_dtree(
+    paged, points: Sequence[Point], paths: bool = False
+) -> TraceBatch:
     """Level-synchronous traversal of the paged D-tree.
 
     The whole frontier advances one tree level per iteration over flat
@@ -401,15 +481,16 @@ def _trace_batch_dtree(paged, points: Sequence[Point]) -> TraceBatch:
     the first packet only, unless the node spans several packets and
     the query needs the whole partition (D2, or early termination off);
     tuning accumulates incrementally via the distinct-per-span
-    constants of :func:`_compile_dtree`, so no per-query packet path is
-    ever materialised.
+    constants of :func:`_compile_dtree`; a packet path is materialised
+    only when *paths* asks for it.
     """
     tree = paged.tree
     n = len(points)
     if tree.root is None:
         only = tree.subdivision.regions[0].region_id
         zero = np.zeros(n, np.int64)
-        return TraceBatch(np.full(n, only, np.int64), zero, zero.copy())
+        batch = TraceBatch(np.full(n, only, np.int64), zero, zero.copy())
+        return _with_paths(batch, paths, 1, [], [])
 
     xs, ys = point_coords(points)
     ct = _compile_dtree(paged)
@@ -423,6 +504,8 @@ def _trace_batch_dtree(paged, points: Sequence[Point]) -> TraceBatch:
     anode = np.full(n, ct.root, np.int64)  # current node per active point
     alast = np.full(n, -1, np.int64)  # last packet read (-1 = none yet)
     atun = np.zeros(n, np.int64)  # distinct packets read so far
+    read_q: List[np.ndarray] = []  # (query, packet) reads, for paths
+    read_p: List[np.ndarray] = []
 
     while apt.size:
         nd = anode
@@ -472,6 +555,15 @@ def _trace_batch_dtree(paged, points: Sequence[Point]) -> TraceBatch:
             )
         atun += np.where(use_long, ct.pkt_distinct[nd], 1) - (alast == pf)
         alast = np.where(use_long, ct.pkt_last[nd], pf)
+        if paths:
+            read_q.append(apt)
+            read_p.append(pf)
+            spanned = nd[use_long]
+            counts = ct.span_count[spanned]
+            read_q.append(np.repeat(apt[use_long], counts))
+            read_p.append(
+                ct.span_packets[ragged_ranges(ct.span_start[spanned], counts)]
+            )
 
         # Descend: negative child codes are data pointers (~region_id).
         code = np.where(first, ct.left_code[nd], ct.right_code[nd])
@@ -489,7 +581,10 @@ def _trace_batch_dtree(paged, points: Sequence[Point]) -> TraceBatch:
         else:
             anode = code
 
-    return TraceBatch(regions, last_out, tuning_out)
+    return _with_paths(
+        TraceBatch(regions, last_out, tuning_out),
+        paths, len(paged.packets), read_q, read_p,
+    )
 
 
 # -- R*-tree: level-synchronous pair expansion over preorder arrays ----------
@@ -509,8 +604,10 @@ class _CompiledRStarTree:
     such read event has a DFS rank (``node_rank``, and ``entry_rank``
     for leaf entries, ``-1`` otherwise), and the ``event_*`` tables,
     indexed by rank, hold its packet span as first/last/distinct-count
-    constants plus a backwards flag, and a leaf entry's region id
-    (``-1`` for a node).  The ``bb_*`` polygon bboxes and the
+    constants plus a backwards flag, a leaf entry's region id (``-1``
+    for a node) and, for the search paths, the span itself
+    (``event_packets[event_pkt_start:event_pkt_start +
+    event_pkt_count]``).  The ``bb_*`` polygon bboxes and the
     :data:`EDGE_POOL_FIELDS` arrays are the subdivision's compiled form,
     indexed by scan position.
     """
@@ -530,6 +627,9 @@ class _CompiledRStarTree:
         "event_distinct",
         "event_bad",
         "event_region",
+        "event_pkt_start",
+        "event_pkt_count",
+        "event_packets",
         "bb_min_x",
         "bb_min_y",
         "bb_max_x",
@@ -555,12 +655,17 @@ def _compile_rstar(paged) -> _CompiledRStarTree:
     rects: List[tuple] = []
     code: List[int] = []
     entry_rank: List[int] = []
-    # Per rank: (first packet, last packet, distinct, backwards, region).
+    # Per rank: (first packet, last packet, distinct, backwards, region),
+    # and the packet span in event_packets.
     events: List[tuple] = []
+    event_packets: List[int] = []
+    event_pkt_count: List[int] = []
     for i, node in enumerate(nodes):
         packet = paged._node_packet[id(node)]
         ct.node_rank[i] = len(events)
         events.append((packet, packet, 1, False, -1))
+        event_packets.append(packet)
+        event_pkt_count.append(1)
         ct.entry_start[i] = len(code)
         ct.entry_count[i] = len(node.entries)
         for entry in node.entries:
@@ -577,6 +682,8 @@ def _compile_rstar(paged) -> _CompiledRStarTree:
                     any(b < a for a, b in zip(packets, packets[1:])),
                     entry.region_id,
                 ))
+                event_packets.extend(packets)
+                event_pkt_count.append(len(packets))
             else:
                 code.append(index[id(entry.child)])
                 entry_rank.append(-1)
@@ -593,6 +700,9 @@ def _compile_rstar(paged) -> _CompiledRStarTree:
     ct.event_distinct = np.ascontiguousarray(event_arr[:, 2])
     ct.event_bad = event_arr[:, 3].astype(bool)
     ct.event_region = np.ascontiguousarray(event_arr[:, 4])
+    ct.event_pkt_count = np.array(event_pkt_count, np.int64)
+    ct.event_pkt_start = np.cumsum(ct.event_pkt_count) - ct.event_pkt_count
+    ct.event_packets = np.array(event_packets, np.int64)
     ct.bb_min_x = csub.bb_min_x
     ct.bb_min_y = csub.bb_min_y
     ct.bb_max_x = csub.bb_max_x
@@ -603,7 +713,9 @@ def _compile_rstar(paged) -> _CompiledRStarTree:
     return ct
 
 
-def _trace_batch_rstar(paged, points: Sequence[Point]) -> TraceBatch:
+def _trace_batch_rstar(
+    paged, points: Sequence[Point], paths: bool = False
+) -> TraceBatch:
     """Level-synchronous traversal of the paged R*-tree.
 
     Every level expands the frontier's (query, node) pairs into
@@ -619,12 +731,15 @@ def _trace_batch_rstar(paged, points: Sequence[Point]) -> TraceBatch:
     order, each event costs its distinct packets minus one when its
     first packet repeats the previous event's last.  A backwards packet
     span, or a query no polygon contains, re-runs the scalar path to
-    raise its exact error.
+    raise its exact error.  A query's search path is the packets of the
+    same run of events.
     """
     n = len(points)
     if n == 0:
         empty = np.zeros(0, np.int64)
-        return TraceBatch(empty, empty.copy(), empty.copy())
+        return _with_paths(
+            TraceBatch(empty, empty.copy(), empty.copy()), paths, 1, [], []
+        )
     xs, ys = point_coords(points)
     ct = _compile_rstar(paged)
     col = active_collector()
@@ -664,10 +779,7 @@ def _trace_batch_rstar(paged, points: Sequence[Point]) -> TraceBatch:
             break
         # Expand the next frontier's (query, node) pairs ragged.
         counts = ct.entry_count[fn]
-        offsets = np.cumsum(counts)
-        e = np.repeat(ct.entry_start[fn] - offsets + counts, counts) + np.arange(
-            int(offsets[-1]), dtype=np.int64
-        )
+        e = ragged_ranges(ct.entry_start[fn], counts)
         px = np.repeat(xs[fq], counts)
         inside = np.flatnonzero((ct.min_x[e] <= px) & (px <= ct.max_x[e]))
         e = e[inside]
@@ -735,10 +847,22 @@ def _trace_batch_rstar(paged, points: Sequence[Point]) -> TraceBatch:
         raise BroadcastError(
             "index traversal moved backwards on the broadcast channel"
         )
-    return TraceBatch(
+    batch = TraceBatch(
         ct.event_region[ev_rank[answer]],
         last[answer],
         run_sums(charge),
+    )
+    if not paths:
+        return batch
+    read = np.flatnonzero(np.arange(ev_q.size) <= answer[ev_q])
+    rank = ev_rank[read]
+    counts = ct.event_pkt_count[rank]
+    return _with_paths(
+        batch,
+        paths,
+        len(paged.packets),
+        [np.repeat(ev_q[read], counts)],
+        [ct.event_packets[ragged_ranges(ct.event_pkt_start[rank], counts)]],
     )
 
 
@@ -894,7 +1018,9 @@ def _trap_tree_regions(
     return out
 
 
-def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
+def _trace_batch_trap(
+    paged, points: Sequence[Point], paths: bool = False
+) -> TraceBatch:
     """Flat-frontier descent of the paged trap-tree.
 
     Two vectorized passes over the compiled DAG: first the tree-rule
@@ -911,7 +1037,7 @@ def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
     """
     ct = _compile_trap(paged)
     if ct is None:
-        return _trace_batch_generic(paged, points)
+        return _trace_batch_generic(paged, points, paths)
     from repro.pointloc.trapezoidal import SHEAR
 
     n = len(points)
@@ -941,6 +1067,8 @@ def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
     anode = np.zeros(n, np.int64)  # current node (root = 0)
     alast = np.full(n, -1, np.int64)  # last packet read (-1 = none yet)
     atun = np.zeros(n, np.int64)  # distinct packets read so far
+    read_q: List[np.ndarray] = []  # (query, packet) reads, for paths
+    read_p: List[np.ndarray] = []
 
     while apt.size:
         nd = anode
@@ -952,6 +1080,9 @@ def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
         pkt = ct.packet[nd]
         atun += pkt != alast
         alast = pkt.astype(np.int64)
+        if paths:
+            read_q.append(apt)
+            read_p.append(alast)
         leaf = ct.kind[nd] == _TRAP_LEAF
         if leaf.any():
             done = apt[leaf]
@@ -981,7 +1112,10 @@ def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
         # the earliest failing point.
         _trace_batch_generic(paged, points)
         raise QueryError("trap-tree descent failed")  # pragma: no cover
-    return TraceBatch(regions, last_out, tuning_out)
+    return _with_paths(
+        TraceBatch(regions, last_out, tuning_out),
+        paths, len(paged.packets), read_q, read_p,
+    )
 
 
 # -- trian-tree: level-synchronous descent over CSR child arrays -------------
@@ -1111,7 +1245,9 @@ def _compile_trian(paged):
     return compiled
 
 
-def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
+def _trace_batch_trian(
+    paged, points: Sequence[Point], paths: bool = False
+) -> TraceBatch:
     """Level-synchronous descent of the paged trian-tree.
 
     Every level expands the frontier's candidate children into one
@@ -1130,7 +1266,7 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
     """
     ct = _compile_trian(paged)
     if ct is None:
-        return _trace_batch_generic(paged, points)
+        return _trace_batch_generic(paged, points, paths)
     n = len(points)
     xs, ys = point_coords(points)
     col = active_collector()
@@ -1144,6 +1280,8 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
     anode = np.full(n, count, np.int64)  # synthetic root-directory node
     alast = np.full(n, paged._root_dir_packet, np.int64)
     atun = np.ones(n, np.int64)  # the root directory is always read
+    read_q: List[np.ndarray] = [apt]  # (query, packet) reads, for paths
+    read_p: List[np.ndarray] = [alast]
 
     flat_sentinel = np.iinfo(np.int64).max
     while apt.size:
@@ -1153,14 +1291,10 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
             col.observe("trace.trian.frontier_width", apt.size)
         counts = ct.child_count[nd]
         starts = ct.child_start[nd]
-        offsets = np.cumsum(counts)
-        total = int(offsets[-1])
         # CSR slot index per (active point, candidate child) pair.
-        flat = np.repeat(starts - offsets + counts, counts) + np.arange(
-            total, dtype=np.int64
-        )
+        flat = ragged_ranges(starts, counts)
         if col is not None:
-            col.observe("trace.trian.scan_width", total)
+            col.observe("trace.trian.scan_width", flat.size)
         rep = np.repeat(apt, counts)
         px = xs[rep]
         py = ys[rep]
@@ -1181,7 +1315,7 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
         # First containing child per point: flat indices ascend within a
         # node's slice, so the minimum hit is the scalar scan's choice.
         f = np.minimum.reduceat(
-            np.where(contains, flat, flat_sentinel), offsets - counts
+            np.where(contains, flat, flat_sentinel), np.cumsum(counts) - counts
         )
         if (f == flat_sentinel).any():
             # No containing child: the scalar path raises its
@@ -1193,6 +1327,10 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
         # the previous level's last packet.
         atun += ct.child_distinct[f] - (ct.child_pkt[starts] == alast)
         alast = ct.child_pkt[f]
+        if paths:
+            scanned = f - starts + 1
+            read_q.append(np.repeat(apt, scanned))
+            read_p.append(ct.child_pkt[ragged_ranges(starts, scanned)])
         anode = ct.child_flat[f]
         term = ct.child_count[anode] == 0
         if term.any():
@@ -1211,4 +1349,7 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
             alast = alast[keep]
             atun = atun[keep]
 
-    return TraceBatch(regions, last_out, tuning_out)
+    return _with_paths(
+        TraceBatch(regions, last_out, tuning_out),
+        paths, len(paged.packets), read_q, read_p,
+    )

@@ -25,8 +25,9 @@ Determinism contract (tested in ``tests/test_fleet.py``):
 * ``"simulate"`` mode results are deterministic for a given
   ``(seed, chunk_size)`` and independent of the worker count (each
   chunk's channel stream is seeded by
-  :func:`~repro.fleet.workload.spawned_seed`, so chunks never share
-  channel state — which also means the chunk size is part of the fault
+  :func:`~repro.fleet.workload.spawned_seed` and each chunk's client
+  starts with a cold packet cache, so chunks never share channel or
+  cache state — which also means the chunk size is part of the fault
   schedule's identity);
 * chunk results are folded **in chunk order** in the parent, so the
   report's compensated sums, sketches and counters are identical for
@@ -287,6 +288,12 @@ class _WorkerState:
                 keep_answers=spec.keep_answers,
             )
         else:
+            # Each chunk's clients start cold, as its channel stream
+            # starts fresh: a cache warmed by the worker's previous chunk
+            # would make results depend on the chunk-to-worker mapping.
+            cache = self.simulator.client.cache
+            if cache is not None:
+                cache.clear()
             sim = self.simulator.run(
                 points, issue_times=issue_times, seed=channel_seed
             )

@@ -53,6 +53,7 @@ from repro.geometry.predicates import EPS
 __all__ = [
     "PointBatch",
     "point_coords",
+    "ragged_ranges",
     "orientation_batch",
     "cross_batch",
     "on_segment_batch",
@@ -153,6 +154,20 @@ def point_coords(points: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     xs = np.fromiter((p.x for p in points), np.float64, count=n)
     ys = np.fromiter((p.y for p in points), np.float64, count=n)
     return xs, ys
+
+
+def ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + counts[i]`` concatenated.
+
+    The flat index array of a ragged expansion: row ``i`` of a CSR
+    layout, or the slice of a shared pool each (query, node) pair
+    expands to.  Zero counts contribute nothing.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(
+        total, dtype=np.int64
+    )
 
 
 def orientation_batch(ax, ay, bx, by, cx, cy) -> np.ndarray:
@@ -550,10 +565,7 @@ def classify_pairs(
     pairs = len(pos)
     edge_counts = pool.edge_counts[pos]
     ends = np.cumsum(edge_counts)
-    total_edges = int(ends[-1]) if pairs else 0
-    edge = np.repeat(
-        pool.edge_start[pos] - ends + edge_counts, edge_counts
-    ) + np.arange(total_edges, dtype=np.int64)
+    edge = ragged_ranges(pool.edge_start[pos], edge_counts)
     py = np.repeat(ys[pt], edge_counts)
     band = np.flatnonzero(
         (pool.all_edge_min_y[edge] - EPS <= py)
@@ -768,16 +780,11 @@ class CompiledSubdivision:
         )
         cell = cell_y * grid + cell_x
         counts = self.cell_counts[cell]
-        offsets = np.concatenate((np.zeros(1, np.int64), np.cumsum(counts)))
-        total = int(offsets[-1])
         interior_pos = np.full(n, count, np.int64)
         boundary_pos = np.full(n, count, np.int64)
-        if total:
+        if counts.any():
             pt = np.repeat(np.arange(n, dtype=np.int64), counts)
-            reg = self.cell_flat[
-                np.repeat(self.cell_start[cell] - offsets[:-1], counts)
-                + np.arange(total, dtype=np.int64)
-            ]
+            reg = self.cell_flat[ragged_ranges(self.cell_start[cell], counts)]
             px = xs[pt]
             py = ys[pt]
             keep = (

@@ -9,6 +9,18 @@ protocol — all four registered :class:`~repro.engine.AirIndex` families
 run under *identical* fault schedules because the error model's rng is
 reseeded per run from the workload seed, independently of the index.
 
+A run is batched where that changes nothing: the whole workload is
+traced once through the family's compiled tracer
+(:func:`~repro.engine.batched_trace` with its search paths), and the
+client walks each query from its path slice
+(:meth:`~repro.broadcast.access.AccessClient.walk_path`), in issue
+order, writing outcomes straight into the report's arrays.  Loss draws,
+cache updates and arithmetic are those of a per-query
+``client.query(point, t)`` loop, so the report is bit-for-bit the one
+that loop would give.  Tracing ahead of walking has one visible edge: a
+workload with a point the index rejects raises its ``QueryError``
+before any query has walked, so the client's cache is left untouched.
+
 Determinism contract: ``run(...)`` with the same seed (and the same
 simulator configuration) produces an identical report, bit for bit —
 issue times come from ``random.Random(seed)`` (the same stream the
@@ -20,7 +32,7 @@ stream derived from the seed but not shared with it.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,7 +42,8 @@ from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.plan import workload_timeline
 from repro.engine.batch import workload_points
-from repro.simulation.client import SimAccessResult, UnreliableBroadcastClient
+from repro.engine.trace import batched_trace
+from repro.simulation.client import UnreliableBroadcastClient
 from repro.simulation.energy import EnergyModel
 from repro.simulation.faults import ErrorModel, make_error_model
 from repro.simulation.policies import RecoveryPolicy
@@ -108,41 +121,46 @@ class ChannelSimulator:
             )
         # Independent, reproducible channel stream: a fresh rng seeded
         # from the run seed but offset so it never mirrors issue times.
-        self.client.error_model.reset(random.Random(f"channel:{seed}"))
+        client = self.client
+        client.error_model.reset(random.Random(f"channel:{seed}"))
 
         col = active_collector()
+        span = col.span if col is not None else null_span
         if col is not None:
             col.count("sim.runs")
             col.count(f"sim.index.{self.index_kind}.queries", n)
             col.observe("sim.batch_size", n)
-        with col.span("sim.run") if col is not None else null_span(""):
-            results: List[SimAccessResult] = [
-                self.client.query(point, t)
-                for point, t in zip(points, issue_times)
-            ]
+        times = np.asarray(issue_times, np.float64)
+        latency = np.empty(n, np.float64)
+        tuning = np.empty(n, np.int64)
+        losses = np.empty(n, np.int64)
+        with span("sim.run"):
+            with span("sim.trace"):
+                traces = batched_trace(client.paged_index, points, paths=True)
+            with span("sim.walk"):
+                walk = client.walk_path
+                packets = traces.path_packets.tolist()
+                bounds = traces.path_start.tolist()
+                for i, (region, lo, hi, t) in enumerate(zip(
+                    traces.region_ids.tolist(), bounds, bounds[1:], times.tolist()
+                )):
+                    latency[i], tuning[i], losses[i] = walk(
+                        region, packets[lo:hi], t
+                    )
         return SimulationReport(
             index_kind=self.index_kind,
-            policy=self.client.policy.name,
-            error_model=repr(self.client.error_model),
-            issue_times=np.asarray(issue_times, np.float64),
-            region_ids=np.fromiter(
-                (r.region_id for r in results), np.int64, count=n
+            policy=client.policy.name,
+            error_model=repr(client.error_model),
+            issue_times=times,
+            region_ids=traces.region_ids,
+            access_latency=latency,
+            tuning_time=tuning,
+            energy_joules=client.energy_model.batch_joules(
+                tuning, latency, client.schedule.params.packet_capacity
             ),
-            access_latency=np.fromiter(
-                (r.access_latency for r in results), np.float64, count=n
-            ),
-            tuning_time=np.fromiter(
-                (r.total_tuning_time for r in results), np.int64, count=n
-            ),
-            energy_joules=np.fromiter(
-                (r.energy_joules for r in results), np.float64, count=n
-            ),
-            packet_losses=np.fromiter(
-                (r.packet_losses for r in results), np.int64, count=n
-            ),
-            read_attempts=np.fromiter(
-                (r.read_attempts for r in results), np.int64, count=n
-            ),
+            packet_losses=losses,
+            # Under loss the tuning time is the read-attempt count.
+            read_attempts=tuning.copy(),
         )
 
 

@@ -62,6 +62,37 @@ class TestOneCounterSet:
         assert counters_a == counters_b
 
 
+class TestWalkPath:
+    """The path-fed entry of the walk gives what ``query`` gives for the
+    same point on the error-free paths too (the lossy simulator's use is
+    covered in tests/test_simulation.py)."""
+
+    @pytest.mark.parametrize("channels", (1, 2))
+    def test_matches_query_on_error_free_clients(self, voronoi60, channels):
+        family = INDEX_REGISTRY["dtree"]
+        params = family.parameters()
+        paged = family.build(voronoi60, seed=7).page(params)
+        plan = BroadcastPlan(
+            len(paged.packets), voronoi60.region_ids, params,
+            channels=channels, index_placement="distributed",
+        )
+        points = random_points_in(voronoi60, 120, seed=4)
+        rng = random.Random(5)
+        times = [rng.uniform(0, plan.cycle_length) for _ in points]
+        for make in (
+            lambda: ChannelHoppingClient(paged, plan),
+            lambda: ChannelHoppingClient(paged, plan, cache_packets=8),
+        ):
+            by_query, by_path = make(), make()
+            for point, t in zip(points, times):
+                want = by_query.query(point, t)
+                trace = paged.trace(point)
+                path = list(dict.fromkeys(trace.packets_accessed))
+                assert by_path.walk_path(trace.region_id, path, t) == (
+                    want.access_latency, want.total_tuning_time, 0
+                )
+
+
 class TestSkewedSegmentForOffset:
     def test_matches_brute_force_scan(self):
         params = SystemParameters(packet_capacity=1024)

@@ -147,6 +147,27 @@ class TestRegistryDispatch:
         finally:
             TRACER_REGISTRY.pop(Custom, None)
 
+    def test_registered_tracer_without_paths_falls_back_for_paths(self):
+        sentinel = TraceBatch(
+            np.array([9], np.int64),
+            np.array([0], np.int64),
+            np.array([0], np.int64),
+        )
+
+        class Custom(FakePaged):
+            pass
+
+        register_tracer(Custom, lambda paged, points: sentinel)
+        try:
+            fake = Custom([QueryTrace(region_id=1, packets_accessed=[0, 2, 2, 5])])
+            batch = batched_trace(fake, [object()], paths=True)
+            assert batch is not sentinel
+            assert batch.region_ids.tolist() == [1]
+            assert batch.path_start.tolist() == [0, 3]
+            assert batch.path_packets.tolist() == [0, 2, 5]
+        finally:
+            TRACER_REGISTRY.pop(Custom, None)
+
     def test_dispatch_walks_the_mro(self):
         sentinel = TraceBatch(
             np.array([9], np.int64),

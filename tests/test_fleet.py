@@ -316,12 +316,17 @@ class TestRStarWorkerParity:
 
 
 class TestSimulateModeDeterminism:
-    def test_lossy_parity_across_workers(self, fleet_world):
+    @pytest.mark.parametrize("cache_packets", (0, 16))
+    def test_lossy_parity_across_workers(self, fleet_world, cache_packets):
+        """With a cache, each chunk's client must start cold: a cache
+        warmed by the worker's previous chunk would tie the results to
+        the chunk-to-worker mapping."""
         spec = _spec(
             fleet_world,
             mode="simulate",
             error_rate=0.1,
             error_model_name="bernoulli",
+            cache_packets=cache_packets,
         )
         solo = FleetRunner(spec, chunk_size=200).run(800)
         fanned = FleetRunner(

@@ -23,6 +23,7 @@ from repro.geometry.kernels import (
     orientation_batch,
     point_coords,
     points_in_polygon,
+    ragged_ranges,
     rect_contains_batch,
 )
 from repro.geometry.point import Point
@@ -55,6 +56,29 @@ class TestPointCoords:
         assert xs.tolist() == [0.25, 3.0]
         assert ys.tolist() == [-1.5, 0.0]
         assert xs.dtype == np.float64 and ys.dtype == np.float64
+
+
+class TestRaggedRanges:
+    def test_concatenates_the_ranges(self):
+        starts = np.array([5, 0, 9, 2], np.int64)
+        counts = np.array([2, 0, 3, 1], np.int64)
+        got = ragged_ranges(starts, counts)
+        assert got.dtype == np.int64
+        assert got.tolist() == [5, 6, 9, 10, 11, 2]
+
+    def test_zero_counts(self):
+        assert ragged_ranges(np.array([3, 7]), np.array([0, 0])).tolist() == []
+        empty = np.zeros(0, np.int64)
+        assert ragged_ranges(empty, empty).tolist() == []
+        got = ragged_ranges(np.array([0, 4, 8]), np.array([0, 2, 0]))
+        assert got.tolist() == [4, 5]
+
+    def test_matches_a_python_loop(self):
+        rng = np.random.default_rng(5)
+        starts = rng.integers(0, 100, 50)
+        counts = rng.integers(0, 4, 50)
+        want = [s + k for s, c in zip(starts, counts) for k in range(c)]
+        assert ragged_ranges(starts, counts).tolist() == want
 
 
 class TestOrientationBatch:

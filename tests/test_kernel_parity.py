@@ -133,6 +133,46 @@ class TestTracerParity:
         )
 
 
+class TestPathParity:
+    """With ``paths=True`` every tracer also returns each query's search
+    path: the scalar trace's packets, de-duplicated in read order."""
+
+    @staticmethod
+    def _assert_paths_match_scalar(paged, points, batch):
+        start = batch.path_start
+        packets = batch.path_packets.tolist()
+        assert len(start) == len(points) + 1 and start[0] == 0
+        assert batch.tuning_time.tolist() == np.diff(start).tolist()
+        for i, point in enumerate(points):
+            path = packets[start[i] : start[i + 1]]
+            assert path == list(dict.fromkeys(paged.trace(point).packets_accessed))
+            assert batch.last_packet[i] == (path[-1] if path else 0)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_kernel_paths_match_scalar_trace(self, dataset, cells, kind):
+        _, subdivision = dataset
+        paged, _ = cells[kind]
+        points = _query_points(subdivision, kind, paged)
+        batch = batched_trace(paged, points, paths=True)
+        _assert_traces_equal(batch, _trace_batch_generic(paged, points))
+        self._assert_paths_match_scalar(paged, points, batch)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_generic_paths_match_scalar_trace(self, dataset, cells, kind):
+        _, subdivision = dataset
+        paged, _ = cells[kind]
+        points = _query_points(subdivision, kind, paged, n=40)
+        batch = batched_trace(_ScalarView(paged), points, paths=True)
+        self._assert_paths_match_scalar(paged, points, batch)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_paths_only_on_request(self, dataset, cells, kind):
+        _, subdivision = dataset
+        paged, _ = cells[kind]
+        batch = batched_trace(paged, random_points_in(subdivision, 5, seed=2))
+        assert batch.path_start is None and batch.path_packets is None
+
+
 class TestRStarParity:
     """The flat R*-tree tracer expands every MBR-reachable (query, entry)
     pair and keeps each query's events up to its lowest-rank hit; these
@@ -287,6 +327,20 @@ class TestDTreePagingVariants:
         points = _query_points(voronoi60, "dtree", n=150, seed=17)
         got = batched_trace(paged, points)
         _assert_traces_equal(got, _trace_batch_generic(paged, points))
+
+    @pytest.mark.parametrize("capacity", (32, 64))
+    @pytest.mark.parametrize("early", (True, False))
+    def test_path_parity(self, voronoi60, capacity, early):
+        """Whole-span reads put every packet of the span on the path."""
+        family = index_family("dtree")
+        params = family.parameters(packet_capacity=capacity)
+        paged = PagedDTree(
+            family.build(voronoi60, seed=7), params, early_termination=early
+        )
+        points = _query_points(voronoi60, "dtree", n=150, seed=17)
+        TestPathParity._assert_paths_match_scalar(
+            paged, points, batched_trace(paged, points, paths=True)
+        )
 
 
 class TestWorkloadParity:

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from repro.broadcast.caching import CachingBroadcastClient
+from repro.broadcast.plan import BroadcastPlan
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.engine import evaluate_workload, index_family
 from repro.errors import BroadcastError
 from repro.simulation import (
     BernoulliLoss,
+    ChannelSimulator,
     EnergyModel,
     GilbertElliott,
     PerfectChannel,
@@ -344,6 +346,88 @@ class TestCandidateBounds:
         paged = family.build(voronoi60, seed=3).page(params)
         fn = candidate_provider(paged, voronoi60.region_ids)
         assert fn(0) == frozenset(voronoi60.region_ids)
+
+
+class TestBatchedRunMatchesQueryLoop:
+    """``ChannelSimulator.run`` traces the whole batch once and walks each
+    query from its search path; its report must be bit-for-bit that of a
+    fresh client answering the same points one ``client.query`` at a
+    time on the same seed — under both loss models, every recovery
+    policy, with and without a cache (carried into a second run), on a
+    single channel and on a K=2 plan."""
+
+    @staticmethod
+    def _timeline(paged, sub, params, channels):
+        if channels == 1:
+            return BroadcastSchedule(len(paged.packets), sub.region_ids, params)
+        return BroadcastPlan(
+            len(paged.packets), sub.region_ids, params, channels=channels,
+            index_placement="distributed",
+        )
+
+    @pytest.mark.parametrize("channels", (1, 2))
+    @pytest.mark.parametrize("cache_packets", (0, 16))
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("model", ("bernoulli", "gilbert"))
+    def test_report_equals_per_query_loop(
+        self, sim_cell, model, policy, cache_packets, channels
+    ):
+        kind, paged, sub, params = sim_cell
+        timeline = self._timeline(paged, sub, params, channels)
+        points = random_points_in(sub, QUERIES, seed=41)
+
+        def config():
+            return dict(
+                error_model=make_error_model(model, 0.15),
+                policy=policy,
+                cache_packets=cache_packets,
+            )
+
+        runs = ((points, 5), (points[::-1], 6))
+        simulator = ChannelSimulator(paged, timeline, index_kind=kind, **config())
+        reports = [simulator.run(pts, seed=seed) for pts, seed in runs]
+        client = UnreliableBroadcastClient(paged, timeline, **config())
+        for report, (pts, seed) in zip(reports, runs):
+            rng = random.Random(seed)
+            times = [rng.uniform(0, client.cycle_length) for _ in pts]
+            client.error_model.reset(random.Random(f"channel:{seed}"))
+            results = [client.query(p, t) for p, t in zip(pts, times)]
+            assert report.issue_times.tolist() == times
+            for field, attr in (
+                ("region_ids", "region_id"),
+                ("access_latency", "access_latency"),
+                ("tuning_time", "total_tuning_time"),
+                ("energy_joules", "energy_joules"),
+                ("packet_losses", "packet_losses"),
+                ("read_attempts", "read_attempts"),
+            ):
+                got = getattr(report, field).tolist()
+                assert got == [getattr(r, attr) for r in results], field
+        assert sum(r.total_losses for r in reports) > 0
+
+    def test_never_calls_the_scalar_trace(self, sim_cell, monkeypatch):
+        kind, paged, sub, params = sim_cell
+
+        def scalar_trace(point):
+            raise AssertionError(f"{kind}: paged.trace called by the simulator")
+
+        monkeypatch.setattr(paged, "trace", scalar_trace)
+        report = simulate_workload(
+            paged, sub.region_ids, params, random_points_in(sub, QUERIES, seed=3),
+            error_rate=0.1, error_model="gilbert", cache_packets=16,
+            index_kind=kind,
+        )
+        assert len(report) == QUERIES
+
+    def test_walk_path_refuses_a_version_checked_client(self, dtree_cell):
+        from repro.broadcast.access import AccessClient
+        from repro.dynamic import DynamicBroadcastServer
+
+        _, sub, _ = dtree_cell
+        server = DynamicBroadcastServer("dtree", sub)
+        client = AccessClient(server.paged, server.schedule, server=server)
+        with pytest.raises(BroadcastError, match="use query"):
+            client.walk_path(0, [0], 0.0)
 
 
 class TestCacheInSimulator:
